@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from bisect import bisect_right
 from collections.abc import Mapping
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,15 +89,13 @@ class CycleCensus:
     zero_reaching: int
 
 
-def lyapunov_direct(series_length: int = 1) -> float:
+def lyapunov_direct() -> float:
     """Analytic exponent of the slope-2 tent map: ln 2.
 
     The slope magnitude is 2 everywhere except the breakpoint, so the
     mean log derivative along any trajectory avoiding it is constant.
     Serves as the oracle for the time-series estimator.
     """
-    if series_length < 1:
-        raise ValueError("series length must be positive")
     return math.log(2.0)
 
 
@@ -394,50 +394,43 @@ def cycle_census(width: BitWidth | int, perturbed: bool = True) -> CycleCensus:
     )
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write a header row, then rows, with LF line endings; "-" is stdout."""
+    with nullcontext(sys.stdout) if path == "-" else open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_histogram_csv(result: HistogramResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin", "count"])
-        for b, count in enumerate(result.counts):
-            writer.writerow([b, int(count)])
+    rows = ([b, int(count)] for b, count in enumerate(result.counts))
+    _write_csv(path, ["bin", "count"], rows)
 
 
 def write_autocorrelation_csv(result: AutocorrResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lag", "r"])
-        for lag, value in zip(result.lags, result.r):
-            writer.writerow([int(lag), float(value)])
+    rows = ([int(lag), float(value)] for lag, value in zip(result.lags, result.r))
+    _write_csv(path, ["lag", "r"], rows)
 
 
 def write_divergence_csv(estimate: LyapunovEstimate, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "mean_log_divergence"])
-        for s, value in zip(estimate.steps, estimate.curve):
-            writer.writerow([int(s), float(value)])
+    rows = ([int(s), float(value)] for s, value in zip(estimate.steps, estimate.curve))
+    _write_csv(path, ["step", "mean_log_divergence"], rows)
 
 
 def write_return_map_csv(pairs: np.ndarray, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x_n", "x_next"])
-        for x, x_next in pairs:
-            writer.writerow([float(x), float(x_next)])
+    rows = ([float(x), float(x_next)] for x, x_next in pairs)
+    _write_csv(path, ["x_n", "x_next"], rows)
 
 
 def write_cycle_reports_csv(reports, width: BitWidth | int, path) -> None:
-    width = as_width(width)
-    digits = (width.k + 3) // 4
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "transient", "period", "reaches_zero"])
-        for report in reports:
-            writer.writerow(
-                [
-                    f"0x{report.seed:0{digits}X}",
-                    report.transient,
-                    report.period,
-                    "true" if report.reaches_zero else "false",
-                ]
-            )
+    digits = as_width(width).hex_digits
+    rows = (
+        [
+            f"0x{r.seed:0{digits}X}",
+            r.transient,
+            r.period,
+            "true" if r.reaches_zero else "false",
+        ]
+        for r in reports
+    )
+    _write_csv(path, ["seed", "transient", "period", "reaches_zero"], rows)

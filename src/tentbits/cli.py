@@ -28,8 +28,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_ALL_TESTS_FAILED = 3
 
-ANALYZE_TESTS = ("entropy", "autocorr", "lyapunov", "histogram", "return-map")
-
 # Published element counts for tent-map generators; fixed reference
 # constants, not reimplementations.
 LITERATURE_ROWS = (
@@ -59,7 +57,7 @@ class RunSpec:
 
     @property
     def seed_hex(self) -> str:
-        return f"0x{self.seed:0{(self.width.k + 3) // 4}X}"
+        return f"0x{self.seed:0{self.width.hex_digits}X}"
 
 
 def _parse_seed(text: str, width: core.BitWidth) -> tuple[int, bool]:
@@ -70,24 +68,13 @@ def _parse_seed(text: str, width: core.BitWidth) -> tuple[int, bool]:
         seed = int(text, 0)
     except ValueError as exc:
         raise CliError(f"cannot parse seed {text!r}") from exc
-    try:
-        return core.check_word(seed, width), False
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return core.check_word(seed, width), False
 
 
 def _resolve_spec(args, backend: str | None = None) -> RunSpec:
-    try:
-        width = core.BitWidth(args.bits)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    width = core.BitWidth(args.bits)
     seed, was_random = _parse_seed(args.seed, width)
-    if was_random:
-        digits = (width.k + 3) // 4
-        print(f"seed: 0x{seed:0{digits}X}", file=sys.stderr)
-    if args.n < 1:
-        raise CliError(f"need at least one step, got n={args.n}")
-    return RunSpec(
+    spec = RunSpec(
         width=width,
         seed=seed,
         n=args.n,
@@ -96,6 +83,11 @@ def _resolve_spec(args, backend: str | None = None) -> RunSpec:
         fmt=getattr(args, "format", "bits"),
         tap=getattr(args, "tap", "msb"),
     )
+    if was_random:
+        print(f"seed: {spec.seed_hex}", file=sys.stderr)
+    if args.n < 1:
+        raise CliError(f"need at least one step, got n={args.n}")
+    return spec
 
 
 def _warn_degenerate(spec: RunSpec) -> None:
@@ -116,20 +108,12 @@ def _trajectory(spec: RunSpec) -> list[int]:
 
 
 def _pack_bits(bits: list[int]) -> bytes:
-    out = bytearray()
-    for start in range(0, len(bits), 8):
-        value = 0
-        chunk = bits[start : start + 8]
-        for bit in chunk:
-            value = (value << 1) | bit
-        value <<= 8 - len(chunk)  # zero-pad the tail byte, high bits first
-        out.append(value)
-    return bytes(out)
+    # high bits first; the tail byte is zero-padded
+    return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()
 
 
 def _write_trajectory(words: list[int], spec: RunSpec, out: str) -> None:
-    k = spec.width.k
-    digits = (k + 3) // 4
+    digits = spec.width.hex_digits
     if spec.fmt == "raw":
         payload = _pack_bits(core.output_stream(words, spec.width, spec.tap))
         if out == "-":
@@ -154,8 +138,8 @@ def _write_trajectory(words: list[int], spec: RunSpec, out: str) -> None:
         Path(out).write_text(text)
 
 
-def cmd_gen(args) -> int:
-    spec = _resolve_spec(args)
+def cmd_gen(args, backend: str | None = None) -> int:
+    spec = _resolve_spec(args, backend)
     _warn_degenerate(spec)
     words = _trajectory(spec)
     _write_trajectory(words, spec, args.out)
@@ -163,10 +147,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_netlist(args) -> int:
-    try:
-        width = core.BitWidth(args.bits)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    width = core.BitWidth(args.bits)
     perturbed = args.variant == "perturbed"
     circuit = nl.build_tent_netlist(width, perturbed=perturbed)
     if args.stats:
@@ -182,15 +163,11 @@ def cmd_netlist(args) -> int:
     if args.simulate:
         if args.seed is None or args.n is None:
             raise CliError("--simulate needs --seed and --n")
-        spec = _resolve_spec(args, backend="netlist")
-        _warn_degenerate(spec)
-        words = _trajectory(spec)
-        _write_trajectory(words, spec, args.out)
-        return EXIT_OK
+        return cmd_gen(args, backend="netlist")
     raise CliError("choose one of --stats, --export, --simulate")
 
 
-def _analyze_entropy(spec: RunSpec, words, values, out_dir: Path) -> dict:
+def _analyze_entropy(spec: RunSpec, words, values, out_dir: Path, args) -> dict:
     bits = core.output_stream(words, spec.width, spec.tap)
     counts = [bits.count(0), bits.count(1)]
     result = analysis.shannon_entropy(counts)
@@ -201,13 +178,8 @@ def _analyze_entropy(spec: RunSpec, words, values, out_dir: Path) -> dict:
         "details": {"bit_counts": counts},
     }
     # value-distribution entropy over 64 bins, reported alongside
-    try:
-        hist = analysis.histogram(values, 64)
-        entry["details"]["value_entropy_64bin"] = analysis.shannon_entropy(
-            hist.counts
-        ).h
-    except ValueError:
-        pass
+    hist = analysis.histogram(values, 64)
+    entry["details"]["value_entropy_64bin"] = analysis.shannon_entropy(hist.counts).h
     return entry
 
 
@@ -218,7 +190,7 @@ def _analyze_autocorr(spec: RunSpec, words, values, out_dir: Path, args) -> dict
         series = values
     result = analysis.autocorrelation(series, args.max_lag)
     analysis.write_autocorrelation_csv(result, out_dir / "autocorr.csv")
-    peak = float(np.abs(result.r[1:]).max()) if args.max_lag >= 1 else 0.0
+    peak = float(np.abs(result.r[1:]).max())
     return {
         "test": "autocorr",
         "parameters": {"max_lag": args.max_lag, "series": args.autocorr_series},
@@ -228,7 +200,7 @@ def _analyze_autocorr(spec: RunSpec, words, values, out_dir: Path, args) -> dict
     }
 
 
-def _analyze_lyapunov(spec: RunSpec, words, values, out_dir: Path) -> dict:
+def _analyze_lyapunov(spec: RunSpec, words, values, out_dir: Path, args) -> dict:
     estimate = analysis.lyapunov_rosenstein(values)
     analysis.write_divergence_csv(estimate, out_dir / "divergence.csv")
     return {
@@ -243,7 +215,7 @@ def _analyze_lyapunov(spec: RunSpec, words, values, out_dir: Path) -> dict:
         "value": estimate.exponent,
         "details": {
             "neighbor_count": estimate.neighbor_count,
-            "analytic": analysis.lyapunov_direct(len(values)),
+            "analytic": analysis.lyapunov_direct(),
         },
         "csv_files": ["divergence.csv"],
     }
@@ -265,7 +237,7 @@ def _analyze_histogram(spec: RunSpec, words, values, out_dir: Path, args) -> dic
     }
 
 
-def _analyze_return_map(spec: RunSpec, words, values, out_dir: Path) -> dict:
+def _analyze_return_map(spec: RunSpec, words, values, out_dir: Path, args) -> dict:
     pairs = analysis.first_return_pairs(values)
     analysis.write_return_map_csv(pairs, out_dir / "return_map.csv")
     deviation = max(
@@ -278,6 +250,16 @@ def _analyze_return_map(spec: RunSpec, words, values, out_dir: Path) -> dict:
         "details": {"max_tent_deviation": float(deviation)},
         "csv_files": ["return_map.csv"],
     }
+
+
+# Report order and the `--tests` default follow this table.
+ANALYZE_TESTS = {
+    "entropy": _analyze_entropy,
+    "autocorr": _analyze_autocorr,
+    "lyapunov": _analyze_lyapunov,
+    "histogram": _analyze_histogram,
+    "return-map": _analyze_return_map,
+}
 
 
 def cmd_analyze(args) -> int:
@@ -302,16 +284,7 @@ def cmd_analyze(args) -> int:
     failures = 0
     for name in tests:
         try:
-            if name == "entropy":
-                entry = _analyze_entropy(spec, words, values, out_dir)
-            elif name == "autocorr":
-                entry = _analyze_autocorr(spec, words, values, out_dir, args)
-            elif name == "lyapunov":
-                entry = _analyze_lyapunov(spec, words, values, out_dir)
-            elif name == "histogram":
-                entry = _analyze_histogram(spec, words, values, out_dir, args)
-            else:
-                entry = _analyze_return_map(spec, words, values, out_dir)
+            entry = ANALYZE_TESTS[name](spec, words, values, out_dir, args)
         except (ValueError, analysis.EstimationError) as exc:
             entry = {"test": name, "error": str(exc)}
             failures += 1
@@ -335,10 +308,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_cycles(args) -> int:
-    try:
-        width = core.BitWidth(args.bits)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    width = core.BitWidth(args.bits)
     perturbed = args.variant == "perturbed"
     if args.seed is not None:
         seed, _ = _parse_seed(args.seed, width)
@@ -354,14 +324,7 @@ def cmd_cycles(args) -> int:
     else:
         raise CliError("pass --seed WORD or --exhaustive")
 
-    if args.out == "-":
-        digits = (width.k + 3) // 4
-        print("seed,transient,period,reaches_zero")
-        for r in reports:
-            flag = "true" if r.reaches_zero else "false"
-            print(f"0x{r.seed:0{digits}X},{r.transient},{r.period},{flag}")
-    else:
-        analysis.write_cycle_reports_csv(reports, width, args.out)
+    analysis.write_cycle_reports_csv(reports, width, args.out)
 
     periods = [r.period for r in reports]
     summary = [
@@ -384,10 +347,7 @@ def _ratio(elements: int, bits: int) -> str:
 def cmd_compare(args) -> int:
     rows = []
     for bits in args.widths:
-        try:
-            width = core.BitWidth(bits)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        width = core.BitWidth(bits)
         total = nl.element_stats(nl.build_tent_netlist(width)).total
         rows.append(("this work", width.k, total))
     rows.extend(LITERATURE_ROWS)

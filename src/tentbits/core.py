@@ -51,6 +51,11 @@ class BitWidth:
     def ulp_exact(self) -> Fraction:
         return Fraction(1, self.max_word)
 
+    @property
+    def hex_digits(self) -> int:
+        """Hex digits that print every word of this width at a fixed length."""
+        return (self.k + 3) // 4
+
 
 def as_width(width: BitWidth | int) -> BitWidth:
     return width if isinstance(width, BitWidth) else BitWidth(width)
@@ -67,21 +72,18 @@ def check_word(w: int, width: BitWidth | int) -> int:
 
 @dataclass(frozen=True)
 class MapConfig:
-    """Generator configuration: width, perturbation switch, and mu.
+    """Generator configuration: width and perturbation switch.
 
-    Only mu = 2 is accepted; the shift-register construction realizes
+    The slope is fixed at 2: the shift-register construction realizes
     the multiply as a shift and supports no other slope.
     """
 
     width: BitWidth
     perturbed: bool = True
-    mu: int = 2
 
     def __post_init__(self) -> None:
         if not isinstance(self.width, BitWidth):
             object.__setattr__(self, "width", as_width(self.width))
-        if self.mu != 2:
-            raise ValueError("only mu = 2 is realizable by the shift-register design")
 
 
 def decode(w: int, width: BitWidth | int) -> float:
@@ -160,19 +162,19 @@ def iterate(config: MapConfig, w0: int, n: int) -> list[int]:
     return out
 
 
-def tent_exact(x, mu=2):
-    """Reference tent map on the unit interval: mu*x below 1/2, else mu*(1-x).
+def tent_exact(x):
+    """Reference slope-2 tent map on the unit interval: 2x below 1/2, else 2(1-x).
 
     The breakpoint belongs to the upper branch, so tent_exact(1/2) is
-    mu/2 * 1 = 1 at mu = 2.  Arithmetic follows the argument type:
+    2 * (1 - 1/2) = 1.  Arithmetic follows the argument type:
     Fraction in, Fraction out, which keeps long reference trajectories
     exact.
     """
     if not 0 <= x <= 1:
         raise ValueError(f"value {x!r} outside [0, 1]")
     if x < _HALF:
-        return mu * x
-    return mu * (1 - x)
+        return 2 * x
+    return 2 * (1 - x)
 
 
 def output_bit(w: int, width: BitWidth | int, tap: str = "msb") -> int:

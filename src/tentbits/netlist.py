@@ -89,10 +89,7 @@ class SimState:
 
     @property
     def word(self) -> int:
-        value = 0
-        for bit in self.bits:
-            value = (value << 1) | bit
-        return value
+        return _bits_to_word(self.bits)
 
     @classmethod
     def reset(cls, width: BitWidth | int) -> "SimState":
@@ -109,11 +106,6 @@ class ElementStats:
     def describe(self) -> str:
         order = [XOR2, DFF, MUX]
         parts = [f"{kind} {self.counts[kind]}" for kind in order if kind in self.counts]
-        parts += [
-            f"{kind} {count}"
-            for kind, count in sorted(self.counts.items())
-            if kind not in order
-        ]
         return ", ".join(parts) + f", total {self.total}"
 
 

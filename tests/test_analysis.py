@@ -60,12 +60,8 @@ def exact_tent_trajectory(n, numerator=271828182845904523, denominator=100000000
 
 class TestLyapunovDirect:
     def test_analytic_value(self):
-        assert lyapunov_direct(1) == pytest.approx(0.6931, abs=5e-5)
-        assert lyapunov_direct(10**6) == LN2
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            lyapunov_direct(0)
+        assert lyapunov_direct() == pytest.approx(0.6931, abs=5e-5)
+        assert lyapunov_direct() == LN2
 
 
 class TestShannonEntropy:

@@ -220,6 +220,15 @@ class TestAnalyze:
         assert (dir_a / "report.json").read_bytes() == (dir_b / "report.json").read_bytes()
         assert (dir_a / "autocorr.csv").read_bytes() == (dir_b / "autocorr.csv").read_bytes()
 
+    def test_csv_files_use_lf_line_endings(self, tmp_path, capsys):
+        code = main(["analyze", "--bits", "16", "--seed", "0x5A3C", "--n", "4096",
+                     "--out-dir", str(tmp_path)])
+        assert code == EXIT_OK
+        csv_files = sorted(tmp_path.glob("*.csv"))
+        assert len(csv_files) == 4
+        for path in csv_files:
+            assert b"\r" not in path.read_bytes(), path.name
+
 
 class TestCycles:
     def test_single_seed_period(self, capsys):
@@ -243,6 +252,13 @@ class TestCycles:
         out = tmp_path / "cycles.csv"
         assert main(["cycles", "--bits", "4", "--exhaustive", "--out", str(out)]) == EXIT_OK
         assert out.read_text().splitlines()[0] == "seed,transient,period,reaches_zero"
+
+    def test_stdout_matches_file(self, tmp_path, capsysbinary):
+        out = tmp_path / "cycles.csv"
+        assert main(["cycles", "--bits", "4", "--exhaustive"]) == EXIT_OK
+        stdout = capsysbinary.readouterr().out
+        assert main(["cycles", "--bits", "4", "--exhaustive", "--out", str(out)]) == EXIT_OK
+        assert stdout == out.read_bytes()
 
     def test_exhaustive_width_bound(self, capsys):
         assert main(["cycles", "--bits", "24", "--exhaustive"]) == EXIT_USAGE
@@ -289,6 +305,24 @@ class TestCompare:
             bits, elements = int(parts[-3]), int(parts[-2])
             ratio = Fraction(parts[-1])
             assert abs(ratio - Fraction(elements, bits)) <= Fraction(5, 10_000)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--bits", "1", "--seed", "0x0", "--n", "1"],
+        ["netlist", "--bits", "1", "--stats"],
+        ["analyze", "--bits", "1", "--seed", "0x0", "--n", "1"],
+        ["cycles", "--bits", "1", "--exhaustive"],
+        ["compare", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_bad_width_is_one_line_error(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: width must be in [2, 64], got 1"]
+    assert "Traceback" not in captured.err
 
 
 def test_usage_error_exits_2(capsys):

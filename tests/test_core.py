@@ -52,11 +52,6 @@ class TestBitWidth:
 
 
 class TestMapConfig:
-    def test_mu_fixed_at_two(self):
-        assert MapConfig(width=BitWidth(8)).mu == 2
-        with pytest.raises(ValueError):
-            MapConfig(width=BitWidth(8), mu=3)
-
     def test_width_coercion(self):
         assert MapConfig(width=8).width == BitWidth(8)
 
