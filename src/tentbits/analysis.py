@@ -118,9 +118,6 @@ def _nearest_neighbors(points: np.ndarray, theiler_window: int):
     tree = cKDTree(uniq)
     kk = min(n_u, 32)
     dist_u, idx_u = tree.query(uniq, k=kk)
-    if kk == 1:  # pragma: no cover - n_u >= 2 guarantees kk >= 2
-        dist_u = dist_u[:, None]
-        idx_u = idx_u[:, None]
 
     def smallest_valid(group: list[int], i: int) -> int | None:
         if group[0] < i - theiler_window:

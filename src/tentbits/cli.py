@@ -126,9 +126,10 @@ def _write_trajectory(words: list[int], spec: RunSpec, out: str) -> None:
     elif spec.fmt == "hex":
         lines = [f"{w:0{digits}X}" for w in words]
     elif spec.fmt == "csv":
+        values = core.decode_series(words, spec.width)
         lines = ["index,word,value"]
-        for i, w in enumerate(words):
-            lines.append(f"{i},0x{w:0{digits}X},{core.decode(w, spec.width)!r}")
+        for i, (w, x) in enumerate(zip(words, values)):
+            lines.append(f"{i},0x{w:0{digits}X},{x!r}")
     else:
         raise CliError(f"unknown format {spec.fmt!r}")
     text = "\n".join(lines) + "\n"
@@ -167,8 +168,7 @@ def cmd_netlist(args) -> int:
     raise CliError("choose one of --stats, --export, --simulate")
 
 
-def _analyze_entropy(spec: RunSpec, words, values, out_dir: Path, args) -> dict:
-    bits = core.output_stream(words, spec.width, spec.tap)
+def _analyze_entropy(spec: RunSpec, bits, values, out_dir: Path, args) -> dict:
     counts = [bits.count(0), bits.count(1)]
     result = analysis.shannon_entropy(counts)
     entry = {
@@ -183,9 +183,9 @@ def _analyze_entropy(spec: RunSpec, words, values, out_dir: Path, args) -> dict:
     return entry
 
 
-def _analyze_autocorr(spec: RunSpec, words, values, out_dir: Path, args) -> dict:
+def _analyze_autocorr(spec: RunSpec, bits, values, out_dir: Path, args) -> dict:
     if args.autocorr_series == "bits":
-        series = [float(b) for b in core.output_stream(words, spec.width, spec.tap)]
+        series = [float(b) for b in bits]
     else:
         series = values
     result = analysis.autocorrelation(series, args.max_lag)
@@ -200,18 +200,13 @@ def _analyze_autocorr(spec: RunSpec, words, values, out_dir: Path, args) -> dict
     }
 
 
-def _analyze_lyapunov(spec: RunSpec, words, values, out_dir: Path, args) -> dict:
-    estimate = analysis.lyapunov_rosenstein(values)
+def _analyze_lyapunov(spec: RunSpec, bits, values, out_dir: Path, args) -> dict:
+    params = {"embed_dim": 2, "delay": 1, "theiler_window": 10, "max_steps": 12}
+    estimate = analysis.lyapunov_rosenstein(values, **params)
     analysis.write_divergence_csv(estimate, out_dir / "divergence.csv")
     return {
         "test": "lyapunov",
-        "parameters": {
-            "embed_dim": 2,
-            "delay": 1,
-            "theiler_window": 10,
-            "max_steps": 12,
-            "fit_range": list(estimate.fit_range),
-        },
+        "parameters": {**params, "fit_range": list(estimate.fit_range)},
         "value": estimate.exponent,
         "details": {
             "neighbor_count": estimate.neighbor_count,
@@ -221,7 +216,7 @@ def _analyze_lyapunov(spec: RunSpec, words, values, out_dir: Path, args) -> dict
     }
 
 
-def _analyze_histogram(spec: RunSpec, words, values, out_dir: Path, args) -> dict:
+def _analyze_histogram(spec: RunSpec, bits, values, out_dir: Path, args) -> dict:
     result = analysis.histogram(values, args.bins)
     analysis.write_histogram_csv(result, out_dir / "histogram.csv")
     return {
@@ -237,12 +232,12 @@ def _analyze_histogram(spec: RunSpec, words, values, out_dir: Path, args) -> dic
     }
 
 
-def _analyze_return_map(spec: RunSpec, words, values, out_dir: Path, args) -> dict:
+def _analyze_return_map(spec: RunSpec, bits, values, out_dir: Path, args) -> dict:
     pairs = analysis.first_return_pairs(values)
     analysis.write_return_map_csv(pairs, out_dir / "return_map.csv")
-    deviation = max(
-        abs(x_next - core.tent_exact(x)) for x, x_next in pairs
-    )
+    # core.tent_exact on floats: same branches, same rounding
+    x, x_next = pairs[:, 0], pairs[:, 1]
+    deviation = np.abs(x_next - np.where(x < 0.5, 2 * x, 2 * (1 - x))).max()
     return {
         "test": "return-map",
         "parameters": {},
@@ -278,13 +273,14 @@ def cmd_analyze(args) -> int:
 
     trajectory = _trajectory(spec)
     words = trajectory[1:]  # n generated states; the seed itself is echoed below
+    bits = core.output_stream(words, spec.width, spec.tap)
     values = core.decode_series(words, spec.width)
 
     entries = []
     failures = 0
     for name in tests:
         try:
-            entry = ANALYZE_TESTS[name](spec, words, values, out_dir, args)
+            entry = ANALYZE_TESTS[name](spec, bits, values, out_dir, args)
         except (ValueError, analysis.EstimationError) as exc:
             entry = {"test": name, "error": str(exc)}
             failures += 1

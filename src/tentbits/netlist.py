@@ -17,7 +17,7 @@ topological order, then all flip-flops clock at once.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .core import BitWidth, as_width, check_word
@@ -62,22 +62,41 @@ class Element:
 
 @dataclass(frozen=True)
 class Netlist:
-    """A synchronous circuit: elements, nets, and its external inputs.
+    """A synchronous circuit: its width, elements and constant-zero nets.
 
     The order of DFF elements defines the register readout: the first
-    flip-flop holds the most significant bit.  seed_inputs follow the
-    same ordering.
+    flip-flop holds the most significant bit.  The interface is read
+    off the one multiplexer: its first input is the load select and the
+    next k inputs are the seed nets, in the same order as the DFFs.
     """
 
     width: BitWidth
     elements: tuple[Element, ...]
-    nets: tuple[str, ...]
-    seed_inputs: tuple[str, ...]
-    load_select: str
     zero_nets: tuple[str, ...] = ()
 
     def dffs(self) -> tuple[Element, ...]:
         return tuple(el for el in self.elements if el.kind == DFF)
+
+    @property
+    def _mux(self) -> Element:
+        muxes = [el for el in self.elements if el.kind == MUX]
+        if len(muxes) != 1:
+            raise StructuralError(f"expected exactly one MUX, found {len(muxes)}")
+        return muxes[0]
+
+    @property
+    def load_select(self) -> str:
+        return self._mux.inputs[0]
+
+    @property
+    def seed_inputs(self) -> tuple[str, ...]:
+        mux = self._mux
+        return mux.inputs[1 : 1 + len(mux.outputs)]
+
+    @property
+    def external_nets(self) -> set[str]:
+        """Nets driven from outside: seeds, the load select and the zeros."""
+        return {*self.seed_inputs, self.load_select, *self.zero_nets}
 
 
 @dataclass(frozen=True)
@@ -138,16 +157,7 @@ def build_tent_netlist(width: BitWidth | int, perturbed: bool = True) -> Netlist
     for i in range(k):
         elements.append(Element(f"ff{i}", DFF, (d[i],), (b[i],)))
 
-    nets = tuple(b) + tuple(f"c{i}" for i in range(1, k)) + (serial,) + tuple(d) \
-        + tuple(seeds) + ("load",)
-    return Netlist(
-        width=width,
-        elements=tuple(elements),
-        nets=nets,
-        seed_inputs=tuple(seeds),
-        load_select="load",
-        zero_nets=zero_nets,
-    )
+    return Netlist(width=width, elements=tuple(elements), zero_nets=zero_nets)
 
 
 def element_stats(netlist: Netlist) -> ElementStats:
@@ -158,11 +168,13 @@ def element_stats(netlist: Netlist) -> ElementStats:
 def validate_structure(netlist: Netlist) -> None:
     """Check the structural invariants every simulatable netlist needs.
 
-    Each net has at most one driver; undriven nets must be declared
-    externals (seed, load select, or constant zero); the combinational
-    subgraph is acyclic, i.e. every feedback loop crosses a flip-flop;
-    and the flip-flop count matches the declared width.
+    There is exactly one multiplexer; each net has at most one driver;
+    undriven nets must be externals (seed, load select, or constant
+    zero); the combinational subgraph is acyclic, i.e. every feedback
+    loop crosses a flip-flop; and the flip-flop count matches the
+    declared width.
     """
+    externals = netlist.external_nets
     drivers: dict[str, str] = {}
     for el in netlist.elements:
         for out in el.outputs:
@@ -171,17 +183,10 @@ def validate_structure(netlist: Netlist) -> None:
                     f"net {out} driven by both {drivers[out]} and {el.id}"
                 )
             drivers[out] = el.id
-    externals = set(netlist.seed_inputs) | {netlist.load_select} | set(netlist.zero_nets)
-    known = set(netlist.nets)
     for el in netlist.elements:
         for net in el.inputs:
             if net not in drivers and net not in externals:
                 raise StructuralError(f"net {net} feeding {el.id} has no driver")
-            if net not in known:
-                raise StructuralError(f"net {net} missing from the net list")
-        for net in el.outputs:
-            if net not in known:
-                raise StructuralError(f"net {net} missing from the net list")
     if len(netlist.dffs()) != netlist.width.k:
         raise StructuralError(
             f"{len(netlist.dffs())} flip-flops for a {netlist.width.k}-bit register"
@@ -191,8 +196,8 @@ def validate_structure(netlist: Netlist) -> None:
 
 def _topo_order(netlist: Netlist) -> list[Element]:
     """Combinational elements in evaluation order; raises on loops."""
-    ready = {el.outputs[0] for el in netlist.elements if el.kind == DFF}
-    ready |= set(netlist.seed_inputs) | {netlist.load_select} | set(netlist.zero_nets)
+    ready = netlist.external_nets
+    ready.update(el.outputs[0] for el in netlist.elements if el.kind == DFF)
     remaining = [el for el in netlist.elements if el.kind != DFF]
     order: list[Element] = []
     while remaining:
@@ -243,7 +248,7 @@ def _compiled_cycle(netlist: Netlist):
         if el.kind == XOR2:
             a, b = el.inputs
             lines.append(f"    {ident(el.outputs[0])} = {ident(a)} ^ {ident(b)}")
-        elif el.kind == MUX:
+        else:  # MUX; DFFs are not in the order
             half = len(el.outputs)
             sel = ident(el.inputs[0])
             for j in range(half):
@@ -252,8 +257,6 @@ def _compiled_cycle(netlist: Netlist):
                 lines.append(
                     f"    {ident(el.outputs[j])} = {loaded} if {sel} else {running}"
                 )
-        else:  # pragma: no cover - element kinds are closed by Element
-            raise StructuralError(f"cannot evaluate element kind {el.kind}")
     returns = ", ".join(ident(ff.inputs[0]) for ff in dffs)
     lines.append(f"    return ({returns})")
     namespace: dict = {}
@@ -328,9 +331,8 @@ def export_text(netlist: Netlist) -> str:
 def parse_text(text: str) -> Netlist:
     """Rebuild a netlist from its text export.
 
-    Expects exactly one multiplexer; its first input is the load select
-    and the next k inputs are the seed nets.  Undriven nets other than
-    those are treated as constant zeros.
+    The seed nets and the load select are read off the one multiplexer
+    (see Netlist); every other undriven net is a constant zero.
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("WIDTH "):
@@ -341,14 +343,6 @@ def parse_text(text: str) -> Netlist:
         raise StructuralError(f"bad WIDTH header: {lines[0]!r}") from exc
 
     elements = []
-    nets: list[str] = []
-    seen = set()
-
-    def note(net: str) -> None:
-        if net not in seen:
-            seen.add(net)
-            nets.append(net)
-
     for line in lines[1:]:
         parts = line.split()
         if len(parts) < 4:
@@ -356,30 +350,16 @@ def parse_text(text: str) -> Netlist:
         kind, el_id, outs = parts[0], parts[1], tuple(parts[2].split(","))
         ins = tuple(parts[3:])
         elements.append(Element(el_id, kind, ins, outs))
-        for net in outs + ins:
-            note(net)
 
-    muxes = [el for el in elements if el.kind == MUX]
-    if len(muxes) != 1:
-        raise StructuralError(f"expected exactly one MUX, found {len(muxes)}")
-    mux = muxes[0]
-    half = len(mux.outputs)
-    load_select = mux.inputs[0]
-    seed_inputs = mux.inputs[1 : 1 + half]
-
+    netlist = Netlist(width=width, elements=tuple(elements))
     driven = {out for el in elements for out in el.outputs}
-    zero_nets = tuple(
+    externals = netlist.external_nets
+    zero_nets = dict.fromkeys(
         net
-        for net in nets
-        if net not in driven and net not in seed_inputs and net != load_select
+        for el in elements
+        for net in el.inputs
+        if net not in driven and net not in externals
     )
-    netlist = Netlist(
-        width=width,
-        elements=tuple(elements),
-        nets=tuple(nets),
-        seed_inputs=seed_inputs,
-        load_select=load_select,
-        zero_nets=zero_nets,
-    )
+    netlist = replace(netlist, zero_nets=tuple(zero_nets))
     validate_structure(netlist)
     return netlist

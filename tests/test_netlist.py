@@ -56,8 +56,23 @@ class TestCensus:
 class TestStructure:
     @pytest.mark.parametrize("k", (2, 3, 8, 16, 24))
     def test_built_netlists_validate(self, k):
-        validate_structure(build_tent_netlist(k))
-        validate_structure(build_tent_netlist(k, perturbed=False))
+        for perturbed in (True, False):
+            circuit = build_tent_netlist(k, perturbed=perturbed)
+            validate_structure(circuit)
+            assert circuit.seed_inputs == tuple(f"seed{i}" for i in range(k))
+            assert circuit.load_select == "load"
+
+    @pytest.mark.parametrize("copies", (0, 2))
+    def test_mux_count_checked(self, copies):
+        circuit = build_tent_netlist(4)
+        mux = next(el for el in circuit.elements if el.kind == MUX)
+        others = tuple(el for el in circuit.elements if el is not mux)
+        # the extra multiplexer drives its own nets, so only the count is wrong
+        extra = Element("mux2", MUX, mux.inputs, tuple(f"q{i}" for i in range(4)))
+        muxes = (mux, extra)[:copies]
+        bad = Netlist(width=circuit.width, elements=others + muxes)
+        with pytest.raises(StructuralError, match=f"exactly one MUX, found {copies}"):
+            validate_structure(bad)
 
     def test_double_driver_rejected(self):
         circuit = build_tent_netlist(4)
@@ -65,9 +80,6 @@ class TestStructure:
         bad = Netlist(
             width=circuit.width,
             elements=circuit.elements + (clash,),
-            nets=circuit.nets,
-            seed_inputs=circuit.seed_inputs,
-            load_select=circuit.load_select,
         )
         with pytest.raises(StructuralError, match="driven by both"):
             validate_structure(bad)
@@ -78,9 +90,6 @@ class TestStructure:
         bad = Netlist(
             width=circuit.width,
             elements=circuit.elements + (floating,),
-            nets=circuit.nets + ("nowhere", "x1"),
-            seed_inputs=circuit.seed_inputs,
-            load_select=circuit.load_select,
         )
         with pytest.raises(StructuralError, match="no driver"):
             validate_structure(bad)
@@ -93,9 +102,6 @@ class TestStructure:
         bad = Netlist(
             width=circuit.width,
             elements=circuit.elements + (loop_a, loop_b),
-            nets=circuit.nets + ("y1", "y2"),
-            seed_inputs=circuit.seed_inputs,
-            load_select=circuit.load_select,
         )
         with pytest.raises(StructuralError, match="combinational cycle"):
             validate_structure(bad)
@@ -182,14 +188,17 @@ class TestTextFormat:
         assert kinds.count("DFF") == 4
         assert kinds.count("MUX") == 1
 
-    def test_round_trip_preserves_structure(self):
-        original = build_tent_netlist(8)
+    @pytest.mark.parametrize("perturbed", (True, False))
+    @pytest.mark.parametrize("k", (2, 3, 8, 33, 64))
+    def test_round_trip_preserves_structure(self, k, perturbed):
+        original = build_tent_netlist(k, perturbed=perturbed)
         text = export_text(original)
         rebuilt = parse_text(text)
         assert rebuilt.width == original.width
         assert rebuilt.elements == original.elements
         assert rebuilt.seed_inputs == original.seed_inputs
         assert rebuilt.load_select == original.load_select
+        assert rebuilt.zero_nets == original.zero_nets
         assert export_text(rebuilt) == text
 
     def test_round_trip_simulates_identically(self):
