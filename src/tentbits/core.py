@@ -146,7 +146,8 @@ def step(config: MapConfig, w: int) -> int:
     w = check_word(w, width)
     top = (w >> (width.k - 1)) & 1
     t = w ^ width.max_word if top else w
-    serial = perturbation_bit(w, width) if config.perturbed else 0
+    # perturbation_bit of the already checked w
+    serial = (w ^ (w >> 1)) & 1 if config.perturbed else 0
     return ((t << 1) | serial) & width.max_word
 
 

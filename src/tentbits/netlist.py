@@ -10,8 +10,10 @@ The circuit wraps a bank of k D flip-flops holding the state word:
   external seed (load mode) and the next-state logic (run mode).
 
 That is k XOR gates, k flip-flops and one multiplexer: 2k + 1 elements.
-Simulation is two-phase synchronous: combinational nets settle in
-topological order, then all flip-flops clock at once.
+`run` is the one simulation entry point: it loads the seed through the
+multiplexer, then clocks the next-state logic.  Simulation is two-phase
+synchronous: combinational nets settle in topological order, then all
+flip-flops clock at once.
 """
 
 from __future__ import annotations
@@ -97,22 +99,6 @@ class Netlist:
     def external_nets(self) -> set[str]:
         """Nets driven from outside: seeds, the load select and the zeros."""
         return {*self.seed_inputs, self.load_select, *self.zero_nets}
-
-
-@dataclass(frozen=True)
-class SimState:
-    """Register snapshot: flip-flop bits (MSB first) and a cycle counter."""
-
-    bits: tuple[int, ...]
-    cycle: int = 0
-
-    @property
-    def word(self) -> int:
-        return _bits_to_word(self.bits)
-
-    @classmethod
-    def reset(cls, width: BitWidth | int) -> "SimState":
-        return cls(bits=(0,) * as_width(width).k, cycle=0)
 
 
 @dataclass
@@ -218,16 +204,20 @@ def _topo_order(netlist: Netlist) -> list[Element]:
 
 
 @lru_cache(maxsize=64)
-def _compiled_cycle(netlist: Netlist):
-    """Compile one clock cycle of the netlist to a plain function.
+def _compiled_run(netlist: Netlist):
+    """Compile a whole simulation run of the netlist to a plain function.
 
-    The generated function takes (bits, load, seed_bits) and returns the
-    next register bits.  It evaluates exactly the topological order that
-    the generic structural check produces, one statement per gate.
+    The generated function takes (seed, n) and returns the n + 1 register
+    words.  It clocks once with the load select high, then n times with it
+    low; each cycle evaluates the topological order that the structural
+    check produces, one statement per gate, then latches all flip-flops at
+    once.  Nets live in locals named n0, n1, ...; net names never reach
+    the generated source.
     """
     validate_structure(netlist)
     order = _topo_order(netlist)
     dffs = netlist.dffs()
+    k = len(dffs)
 
     names: dict[str, str] = {}
 
@@ -236,18 +226,19 @@ def _compiled_cycle(netlist: Netlist):
             names[net] = f"n{len(names)}"
         return names[net]
 
-    lines = ["def _cycle(bits, load, seed):"]
-    for i, ff in enumerate(dffs):
-        lines.append(f"    {ident(ff.outputs[0])} = bits[{i}]")
+    lines = ["def _run(seed, n):"]
     for i, net in enumerate(netlist.seed_inputs):
-        lines.append(f"    {ident(net)} = seed[{i}]")
-    lines.append(f"    {ident(netlist.load_select)} = load")
+        lines.append(f"    {ident(net)} = (seed >> {k - 1 - i}) & 1")
     for net in netlist.zero_nets:
         lines.append(f"    {ident(net)} = 0")
+    for ff in dffs:
+        lines.append(f"    {ident(ff.outputs[0])} = 0")
+    load = ident(netlist.load_select)
+    lines += [f"    {load} = 1", "    words = []", "    for _ in range(n + 1):"]
     for el in order:
         if el.kind == XOR2:
             a, b = el.inputs
-            lines.append(f"    {ident(el.outputs[0])} = {ident(a)} ^ {ident(b)}")
+            lines.append(f"        {ident(el.outputs[0])} = {ident(a)} ^ {ident(b)}")
         else:  # MUX; DFFs are not in the order
             half = len(el.outputs)
             sel = ident(el.inputs[0])
@@ -255,62 +246,36 @@ def _compiled_cycle(netlist: Netlist):
                 loaded = ident(el.inputs[1 + j])
                 running = ident(el.inputs[1 + half + j])
                 lines.append(
-                    f"    {ident(el.outputs[j])} = {loaded} if {sel} else {running}"
+                    f"        {ident(el.outputs[j])} = {loaded} if {sel} else {running}"
                 )
-    returns = ", ".join(ident(ff.inputs[0]) for ff in dffs)
-    lines.append(f"    return ({returns})")
+    outs = ", ".join(ident(ff.outputs[0]) for ff in dffs)
+    ins = ", ".join(ident(ff.inputs[0]) for ff in dffs)
+    # the first flip-flop holds the most significant bit
+    word = " | ".join(
+        f"({ident(ff.outputs[0])} << {k - 1 - i})" for i, ff in enumerate(dffs)
+    )
+    lines += [
+        f"        {outs} = {ins}",
+        f"        words.append({word})",
+        f"        {load} = 0",
+        "    return words",
+    ]
     namespace: dict = {}
     exec("\n".join(lines), namespace)
-    return namespace["_cycle"]
-
-
-def _seed_bits(seed: int, width: BitWidth) -> tuple[int, ...]:
-    k = width.k
-    return tuple((seed >> (k - 1 - i)) & 1 for i in range(k))
-
-
-def simulate_cycle(
-    netlist: Netlist, state: SimState, load: bool, seed: int = 0
-) -> SimState:
-    """Advance one clock: settle combinational nets, then latch all DFFs.
-
-    With load true the multiplexer routes the external seed word into
-    every flip-flop; otherwise the next-state logic drives them.
-    """
-    width = netlist.width
-    if len(state.bits) != width.k:
-        raise ValueError(f"state has {len(state.bits)} bits, expected {width.k}")
-    seed = check_word(seed, width)
-    cycle = _compiled_cycle(netlist)
-    new_bits = cycle(state.bits, 1 if load else 0, _seed_bits(seed, width))
-    return SimState(bits=new_bits, cycle=state.cycle + 1)
+    return namespace["_run"]
 
 
 def run(netlist: Netlist, seed: int, n: int) -> list[int]:
-    """Load the seed, clock n cycles, and return the n + 1 register words.
+    """Load the seed through the multiplexer, then clock n cycles.
 
-    Bit-for-bit equal to the word model: run(netlist, w0, n) matches
-    iterate(MapConfig(width), w0, n) for netlists built here.
+    Returns the n + 1 register words; this is the one way to simulate a
+    netlist.  Bit-for-bit equal to the word model: run(netlist, w0, n)
+    matches iterate(MapConfig(width), w0, n) for netlists built here.
     """
     if n < 1:
         raise ValueError(f"need at least one cycle, got n={n}")
-    width = netlist.width
-    seed = check_word(seed, width)
-    cycle = _compiled_cycle(netlist)
-    seed_bits = _seed_bits(seed, width)
-    bits = cycle((0,) * width.k, 1, seed_bits)
-    words = [_bits_to_word(bits)]
-    for _ in range(n):
-        bits = cycle(bits, 0, seed_bits)
-        words.append(_bits_to_word(bits))
-    return words
-
-
-def _bits_to_word(bits) -> int:
-    value = 0
-    for bit in bits:
-        value = (value << 1) | bit
-    return value
+    seed = check_word(seed, netlist.width)
+    return _compiled_run(netlist)(seed, n)
 
 
 def export_text(netlist: Netlist) -> str:

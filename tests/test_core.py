@@ -186,6 +186,12 @@ class TestStep:
         if perturbation_bit(w, k) == 0:
             assert err == 0
 
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_serial_bit_is_perturbation_bit(self, k):
+        cfg = MapConfig(width=k)
+        for w in range(1 << k):
+            assert step(cfg, w) & 1 == perturbation_bit(w, k)
+
     @pytest.mark.parametrize("k", range(2, 13))
     def test_zero_preimages_are_word_extremes(self, k):
         cfg = MapConfig(width=k)

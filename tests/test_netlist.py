@@ -11,14 +11,12 @@ from tentbits.netlist import (
     XOR2,
     Element,
     Netlist,
-    SimState,
     StructuralError,
     build_tent_netlist,
     element_stats,
     export_text,
     parse_text,
     run,
-    simulate_cycle,
     validate_structure,
 )
 
@@ -122,23 +120,10 @@ class TestStructure:
 
 class TestSimulation:
     def test_load_overrides_state(self):
-        circuit = build_tent_netlist(8)
-        state = SimState.reset(8)
-        loaded = simulate_cycle(circuit, state, load=True, seed=0xA5)
-        assert loaded.word == 0xA5
-        assert loaded.cycle == 1
+        assert run(build_tent_netlist(8), 0xA5, 1)[0] == 0xA5
 
     def test_single_run_cycle_matches_word_model(self):
-        circuit = build_tent_netlist(8)
-        state = simulate_cycle(circuit, SimState.reset(8), load=True, seed=64)
-        advanced = simulate_cycle(circuit, state, load=False)
-        assert advanced.word == 128
-
-    def test_four_bit_hand_case(self):
-        circuit = build_tent_netlist(4)
-        state = simulate_cycle(circuit, SimState.reset(4), load=True, seed=0b1000)
-        advanced = simulate_cycle(circuit, state, load=False)
-        assert advanced.word == 0b1110
+        assert run(build_tent_netlist(8), 64, 1) == [64, 128]
 
     def test_run_seven_step_cycle(self):
         assert run(build_tent_netlist(4), 0b1000, 7) == [8, 14, 3, 6, 13, 5, 11, 8]
@@ -161,16 +146,20 @@ class TestSimulation:
         config = MapConfig(width=BitWidth(k))
         assert run(circuit, seed, 50) == iterate(config, seed, 50)
 
+    @pytest.mark.parametrize("perturbed", (True, False))
+    @pytest.mark.parametrize("k", range(2, 65))
+    def test_run_matches_iterate_at_every_width(self, k, perturbed):
+        circuit = build_tent_netlist(k, perturbed=perturbed)
+        config = MapConfig(width=k, perturbed=perturbed)
+        top = 1 << (k - 1)
+        for seed in (0, 2 * top - 1, top | 1, 0x9E3779B97F4A7C15 % (2 * top)):
+            assert run(circuit, seed, 200) == iterate(config, seed, 200)
+
     @pytest.mark.parametrize("seed", (0, 1, 77, 200, 255))
     def test_unperturbed_run_matches_word_model(self, seed):
         circuit = build_tent_netlist(8, perturbed=False)
         config = MapConfig(width=8, perturbed=False)
         assert run(circuit, seed, 300) == iterate(config, seed, 300)
-
-    def test_mismatched_state_rejected(self):
-        circuit = build_tent_netlist(8)
-        with pytest.raises(ValueError):
-            simulate_cycle(circuit, SimState.reset(4), load=False)
 
     def test_oversized_seed_rejected(self):
         with pytest.raises(ValueError):
@@ -205,6 +194,35 @@ class TestTextFormat:
         original = build_tent_netlist(6)
         rebuilt = parse_text(export_text(original))
         assert run(rebuilt, 0b101101 & 0x3F, 100) == run(original, 0b101101 & 0x3F, 100)
+
+    @pytest.mark.parametrize("perturbed", (True, False))
+    def test_renamed_reordered_netlist_simulates(self, perturbed):
+        # Net names that are not Python identifiers, or that look like the
+        # compiled code's own locals, must not reach the compiled source.
+        # The gate lines come in reverse, after the flip-flops, whose order
+        # is the readout order and so stays as it is.
+        styles = ("net:{}", "1x{}", "a;b{}", "n{}", "seed{}", "words{}")
+        names: dict[str, str] = {}
+
+        def rename(net):
+            if net not in names:
+                i = len(names)
+                names[net] = styles[i % len(styles)].format(i)
+            return names[net]
+
+        header, *body = export_text(build_tent_netlist(16, perturbed)).splitlines()
+        dffs = [line for line in body if line.startswith("DFF ")]
+        gates = [line for line in reversed(body) if not line.startswith("DFF ")]
+        lines = [header]
+        for line in dffs + gates:
+            kind, el_id, outs, *ins = line.split()
+            outs = ",".join(rename(net) for net in outs.split(","))
+            lines.append(" ".join([kind, el_id, outs, *map(rename, ins)]))
+        circuit = parse_text("\n".join(lines) + "\n")
+        assert circuit.load_select == names["load"]
+        config = MapConfig(width=16, perturbed=perturbed)
+        for seed in (0, 0xFFFF, 0x8001, 0x5A3C):
+            assert run(circuit, seed, 200) == iterate(config, seed, 200)
 
     def test_unperturbed_round_trip_keeps_zero_net(self):
         original = build_tent_netlist(5, perturbed=False)
