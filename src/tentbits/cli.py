@@ -37,12 +37,6 @@ LITERATURE_ROWS = (
 )
 
 
-class CliError(Exception):
-    def __init__(self, message: str, exit_code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.exit_code = exit_code
-
-
 @dataclass(frozen=True)
 class RunSpec:
     """A resolved generation request; the seed is always explicit here."""
@@ -67,11 +61,11 @@ def _parse_seed(text: str, width: core.BitWidth) -> tuple[int, bool]:
     try:
         seed = int(text, 0)
     except ValueError as exc:
-        raise CliError(f"cannot parse seed {text!r}") from exc
+        raise ValueError(f"cannot parse seed {text!r}") from exc
     return core.check_word(seed, width), False
 
 
-def _resolve_spec(args, backend: str | None = None) -> RunSpec:
+def _resolve_spec(args) -> RunSpec:
     width = core.BitWidth(args.bits)
     seed, was_random = _parse_seed(args.seed, width)
     spec = RunSpec(
@@ -79,14 +73,14 @@ def _resolve_spec(args, backend: str | None = None) -> RunSpec:
         seed=seed,
         n=args.n,
         perturbed=args.variant == "perturbed",
-        backend=backend if backend is not None else getattr(args, "backend", "word"),
+        backend=args.backend,
         fmt=getattr(args, "format", "bits"),
-        tap=getattr(args, "tap", "msb"),
+        tap=args.tap,
     )
     if was_random:
         print(f"seed: {spec.seed_hex}", file=sys.stderr)
     if args.n < 1:
-        raise CliError(f"need at least one step, got n={args.n}")
+        raise ValueError(f"need at least one step, got n={args.n}")
     return spec
 
 
@@ -125,13 +119,11 @@ def _write_trajectory(words: list[int], spec: RunSpec, out: str) -> None:
         lines = [str(b) for b in core.output_stream(words, spec.width, spec.tap)]
     elif spec.fmt == "hex":
         lines = [f"{w:0{digits}X}" for w in words]
-    elif spec.fmt == "csv":
+    else:  # csv
         values = core.decode_series(words, spec.width)
         lines = ["index,word,value"]
         for i, (w, x) in enumerate(zip(words, values)):
             lines.append(f"{i},0x{w:0{digits}X},{x!r}")
-    else:
-        raise CliError(f"unknown format {spec.fmt!r}")
     text = "\n".join(lines) + "\n"
     if out == "-":
         sys.stdout.write(text)
@@ -139,8 +131,8 @@ def _write_trajectory(words: list[int], spec: RunSpec, out: str) -> None:
         Path(out).write_text(text)
 
 
-def cmd_gen(args, backend: str | None = None) -> int:
-    spec = _resolve_spec(args, backend)
+def cmd_gen(args) -> int:
+    spec = _resolve_spec(args)
     _warn_degenerate(spec)
     words = _trajectory(spec)
     _write_trajectory(words, spec, args.out)
@@ -163,9 +155,9 @@ def cmd_netlist(args) -> int:
         return EXIT_OK
     if args.simulate:
         if args.seed is None or args.n is None:
-            raise CliError("--simulate needs --seed and --n")
-        return cmd_gen(args, backend="netlist")
-    raise CliError("choose one of --stats, --export, --simulate")
+            raise ValueError("--simulate needs --seed and --n")
+        return cmd_gen(args)
+    raise ValueError("choose one of --stats, --export, --simulate")
 
 
 def _analyze_entropy(spec: RunSpec, bits, values, out_dir: Path, args) -> dict:
@@ -262,10 +254,10 @@ def cmd_analyze(args) -> int:
     _warn_degenerate(spec)
     tests = [t.strip() for t in args.tests.split(",") if t.strip()]
     if not tests:
-        raise CliError("no tests selected")
+        raise ValueError("no tests selected")
     for name in tests:
         if name not in ANALYZE_TESTS:
-            raise CliError(
+            raise ValueError(
                 f"unknown test {name!r}; choose from {', '.join(ANALYZE_TESTS)}"
             )
     out_dir = Path(args.out_dir)
@@ -312,13 +304,13 @@ def cmd_cycles(args) -> int:
         reports = [analysis.cycle_detect(config, seed)]
     elif args.exhaustive:
         if width.k > analysis.CYCLE_ENUM_MAX_WIDTH:
-            raise CliError(
+            raise ValueError(
                 f"exhaustive census is limited to {analysis.CYCLE_ENUM_MAX_WIDTH} bits; "
                 "pass --seed for a single orbit"
             )
         reports = analysis.cycle_table(width, perturbed)
     else:
-        raise CliError("pass --seed WORD or --exhaustive")
+        raise ValueError("pass --seed WORD or --exhaustive")
 
     analysis.write_cycle_reports_csv(reports, width, args.out)
 
@@ -383,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a trajectory from the word model")
     add_run_args(p_gen)
-    p_gen.set_defaults(func=cmd_gen)
+    p_gen.set_defaults(func=cmd_gen, backend="word")
 
     p_net = sub.add_parser("netlist", help="inspect or simulate the circuit model")
     p_net.add_argument("--bits", type=int, required=True)
@@ -400,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_net.add_argument("--format", choices=("bits", "hex", "csv", "raw"),
                        default="bits")
     p_net.add_argument("--out", default="-")
-    p_net.set_defaults(func=cmd_netlist)
+    p_net.set_defaults(func=cmd_netlist, backend="netlist")
 
     p_ana = sub.add_parser("analyze", help="run randomness/chaos tests")
     add_run_args(p_ana, with_format=False)
@@ -447,9 +439,6 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

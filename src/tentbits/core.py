@@ -179,24 +179,24 @@ def tent_exact(x):
 
 
 def output_bit(w: int, width: BitWidth | int, tap: str = "msb") -> int:
-    """The generator's binary output for one state.
+    """The generator's binary output for one state; see output_stream."""
+    return output_stream([w], width, tap)[0]
+
+
+def output_stream(words, width: BitWidth | int, tap: str = "msb") -> list[int]:
+    """Binary output bits for a word sequence.
 
     The default tap is the most significant bit (the branch-decision
     bit of the map); `lsb` taps the freshly injected serial bit instead.
     """
     width = as_width(width)
-    w = check_word(w, width)
     if tap == "msb":
-        return (w >> (width.k - 1)) & 1
-    if tap == "lsb":
-        return w & 1
-    raise ValueError(f"unknown tap {tap!r}, expected 'msb' or 'lsb'")
-
-
-def output_stream(words, width: BitWidth | int, tap: str = "msb") -> list[int]:
-    """Binary output bits for a word sequence."""
-    width = as_width(width)
-    return [output_bit(w, width, tap) for w in words]
+        shift = width.k - 1
+    elif tap == "lsb":
+        shift = 0
+    else:
+        raise ValueError(f"unknown tap {tap!r}, expected 'msb' or 'lsb'")
+    return [(check_word(w, width) >> shift) & 1 for w in words]
 
 
 def decode_series(words, width: BitWidth | int) -> list[float]:

@@ -10,17 +10,24 @@ The circuit wraps a bank of k D flip-flops holding the state word:
   external seed (load mode) and the next-state logic (run mode).
 
 That is k XOR gates, k flip-flops and one multiplexer: 2k + 1 elements.
-`run` is the one simulation entry point: it loads the seed through the
-multiplexer, then clocks the next-state logic.  Simulation is two-phase
-synchronous: combinational nets settle in topological order, then all
-flip-flops clock at once.
+`_clock` is the gate-level semantics of one clock edge: combinational
+nets settle in topological order, then all flip-flops latch at once.
+
+`run` is the one simulation entry point.  It clocks the gates k + 2
+times: once to load the seed through the multiplexer, then k + 1 probes
+of a run cycle, from the zero word and from each one-bit word.  With the
+load select low every element is linear over GF(2) (XOR gates, the
+multiplexer passing its run side, flip-flops), and the seed and zero
+nets are constants; validate_structure makes sure no element drives
+them or the load select.  So a run cycle is exactly the affine map
+w -> M.w ^ c, where c is the probe from zero and column j of M is the
+probe from bit j less c, and `run` applies that map to every later word.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 from .core import BitWidth, as_width, check_word
 
@@ -155,10 +162,10 @@ def validate_structure(netlist: Netlist) -> None:
     """Check the structural invariants every simulatable netlist needs.
 
     There is exactly one multiplexer; each net has at most one driver;
-    undriven nets must be externals (seed, load select, or constant
-    zero); the combinational subgraph is acyclic, i.e. every feedback
-    loop crosses a flip-flop; and the flip-flop count matches the
-    declared width.
+    no element drives an interface net (seed, load select, or constant
+    zero), and every undriven net is one; the combinational subgraph is
+    acyclic, i.e. every feedback loop crosses a flip-flop; and the
+    flip-flop count matches the declared width.
     """
     externals = netlist.external_nets
     drivers: dict[str, str] = {}
@@ -168,6 +175,8 @@ def validate_structure(netlist: Netlist) -> None:
                 raise StructuralError(
                     f"net {out} driven by both {drivers[out]} and {el.id}"
                 )
+            if out in externals:
+                raise StructuralError(f"interface net {out} is driven by {el.id}")
             drivers[out] = el.id
     for el in netlist.elements:
         for net in el.inputs:
@@ -203,79 +212,74 @@ def _topo_order(netlist: Netlist) -> list[Element]:
     return order
 
 
-@lru_cache(maxsize=64)
-def _compiled_run(netlist: Netlist):
-    """Compile a whole simulation run of the netlist to a plain function.
+def _clock(
+    netlist: Netlist, order: list[Element], state: int, seed: int, load: int
+) -> int:
+    """One clock edge at gate level; returns the word the flip-flops latch.
 
-    The generated function takes (seed, n) and returns the n + 1 register
-    words.  It clocks once with the load select high, then n times with it
-    low; each cycle evaluates the topological order that the structural
-    check produces, one statement per gate, then latches all flip-flops at
-    once.  Nets live in locals named n0, n1, ...; net names never reach
-    the generated source.
+    The seed nets carry the bits of `seed` and the flip-flop outputs the
+    bits of `state`, most significant first in flip-flop order; the zero
+    nets carry 0 and the load select carries `load`.  The combinational
+    elements settle in `order` (see _topo_order), then every flip-flop
+    latches its input.
     """
-    validate_structure(netlist)
-    order = _topo_order(netlist)
     dffs = netlist.dffs()
     k = len(dffs)
-
-    names: dict[str, str] = {}
-
-    def ident(net: str) -> str:
-        if net not in names:
-            names[net] = f"n{len(names)}"
-        return names[net]
-
-    lines = ["def _run(seed, n):"]
+    nets = {}
     for i, net in enumerate(netlist.seed_inputs):
-        lines.append(f"    {ident(net)} = (seed >> {k - 1 - i}) & 1")
-    for net in netlist.zero_nets:
-        lines.append(f"    {ident(net)} = 0")
-    for ff in dffs:
-        lines.append(f"    {ident(ff.outputs[0])} = 0")
-    load = ident(netlist.load_select)
-    lines += [f"    {load} = 1", "    words = []", "    for _ in range(n + 1):"]
+        nets[net] = (seed >> (k - 1 - i)) & 1
+    nets.update(dict.fromkeys(netlist.zero_nets, 0))
+    for i, ff in enumerate(dffs):
+        nets[ff.outputs[0]] = (state >> (k - 1 - i)) & 1
+    nets[netlist.load_select] = load
     for el in order:
         if el.kind == XOR2:
             a, b = el.inputs
-            lines.append(f"        {ident(el.outputs[0])} = {ident(a)} ^ {ident(b)}")
+            nets[el.outputs[0]] = nets[a] ^ nets[b]
         else:  # MUX; DFFs are not in the order
             half = len(el.outputs)
-            sel = ident(el.inputs[0])
-            for j in range(half):
-                loaded = ident(el.inputs[1 + j])
-                running = ident(el.inputs[1 + half + j])
-                lines.append(
-                    f"        {ident(el.outputs[j])} = {loaded} if {sel} else {running}"
-                )
-    outs = ", ".join(ident(ff.outputs[0]) for ff in dffs)
-    ins = ", ".join(ident(ff.inputs[0]) for ff in dffs)
-    # the first flip-flop holds the most significant bit
-    word = " | ".join(
-        f"({ident(ff.outputs[0])} << {k - 1 - i})" for i, ff in enumerate(dffs)
-    )
-    lines += [
-        f"        {outs} = {ins}",
-        f"        words.append({word})",
-        f"        {load} = 0",
-        "    return words",
-    ]
-    namespace: dict = {}
-    exec("\n".join(lines), namespace)
-    return namespace["_run"]
+            side = 1 if nets[el.inputs[0]] else 1 + half
+            for j, out in enumerate(el.outputs):
+                nets[out] = nets[el.inputs[side + j]]
+    word = 0
+    for ff in dffs:
+        word = (word << 1) | nets[ff.inputs[0]]
+    return word
 
 
 def run(netlist: Netlist, seed: int, n: int) -> list[int]:
     """Load the seed through the multiplexer, then clock n cycles.
 
     Returns the n + 1 register words; this is the one way to simulate a
-    netlist.  Bit-for-bit equal to the word model: run(netlist, w0, n)
-    matches iterate(MapConfig(width), w0, n) for netlists built here.
+    netlist.  Gate-level clocking gives the load cycle and the affine map
+    of a run cycle (see the module docstring), which clocks the rest.
+    Bit-for-bit equal to the word model: run(netlist, w0, n) matches
+    iterate(MapConfig(width), w0, n) for netlists built here.
     """
     if n < 1:
         raise ValueError(f"need at least one cycle, got n={n}")
     seed = check_word(seed, netlist.width)
-    return _compiled_run(netlist)(seed, n)
+    validate_structure(netlist)
+    order = _topo_order(netlist)
+    k = netlist.width.k
+    words = [_clock(netlist, order, 0, seed, 1)]
+    c = _clock(netlist, order, 0, seed, 0)
+    columns = [_clock(netlist, order, 1 << j, seed, 0) ^ c for j in range(k)]
+    # M.w as one lookup per byte of w: table[x] is M applied to x << lo
+    tables = []
+    for lo in range(0, k, 8):
+        table = [0]
+        for col in columns[lo : lo + 8]:
+            table += [t ^ col for t in table]
+        tables.append((lo, table))
+    w = words[0]
+    for _ in range(n):
+        nxt = c
+        for lo, table in tables:
+            nxt ^= table[(w >> lo) & 255]
+        w = nxt
+        words.append(w)
+    return words
 
 
 def export_text(netlist: Netlist) -> str:

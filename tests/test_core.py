@@ -256,6 +256,19 @@ class TestOutputBits:
         with pytest.raises(ValueError):
             output_bit(1, 8, tap="middle")
 
+    def test_unknown_tap_rejected_on_empty_stream(self):
+        with pytest.raises(ValueError, match="unknown tap 'middle'"):
+            output_stream([], 8, tap="middle")
+
+    def test_stream_checks_every_word(self):
+        with pytest.raises(ValueError, match="does not fit in 4 bits"):
+            output_stream([3, 16], 4)
+
+    @pytest.mark.parametrize("tap", ("msb", "lsb"))
+    def test_bit_is_one_word_stream(self, tap):
+        words = list(range(32))
+        assert [output_bit(w, 5, tap) for w in words] == output_stream(words, 5, tap)
+
     def test_stream(self):
         assert output_stream([0b1000, 0b0111], 4) == [1, 0]
 
