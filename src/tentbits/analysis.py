@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import math
 import sys
-from bisect import bisect_right
 from collections.abc import Mapping
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -100,11 +99,14 @@ def lyapunov_direct() -> float:
 
 
 def _nearest_neighbors(points: np.ndarray, theiler_window: int):
-    """Nearest positive-distance neighbor per point, honoring the Theiler
-    exclusion |i - j| > theiler_window; ties broken by lower index.
-
-    Works on the deduplicated point set so heavily quantized series
-    (every state word repeats on a short cycle) stay cheap.
+    """Rosenstein partners: for each point i, the index j of smallest
+    (distance, j) over the points at positive distance with |i - j| > w
+    (w = theiler_window), so ties go to the lower index.  The search
+    covers the max(32, 2w + 2) nearest distinct points of i, as cKDTree
+    orders ties at that boundary, or all of them if there are fewer; a
+    point with no partner there is left out.  Deduplicating first keeps
+    heavily quantized series cheap.  Returns (anchors, partners),
+    anchors ascending.
     """
     n = len(points)
     uniq, inverse = np.unique(points, axis=0, return_inverse=True)
@@ -112,49 +114,38 @@ def _nearest_neighbors(points: np.ndarray, theiler_window: int):
     n_u = len(uniq)
     if n_u < 2:
         raise EstimationError("constant series has no distinct neighbors")
-    groups: list[list[int]] = [[] for _ in range(n_u)]
-    for i in range(n):
-        groups[inverse[i]].append(i)
-    tree = cKDTree(uniq)
-    kk = min(n_u, 32)
-    dist_u, idx_u = tree.query(uniq, k=kk)
-
-    def smallest_valid(group: list[int], i: int) -> int | None:
-        if group[0] < i - theiler_window:
-            return group[0]
-        pos = bisect_right(group, i + theiler_window)
-        return group[pos] if pos < len(group) else None
-
-    def pick(i: int, dists, idxs):
-        best = None
-        for d, u_cand in zip(dists, idxs):
-            if best is not None and d > best[0]:
-                break
-            if d <= 0.0:
-                continue
-            j = smallest_valid(groups[u_cand], i)
-            if j is None:
-                continue
-            if best is None or d < best[0] or (d == best[0] and j < best[1]):
-                best = (d, j)
-        return best
-
-    anchors: list[int] = []
-    partners: list[int] = []
-    full_cache: dict[int, tuple] = {}
-    for i in range(n):
-        u = inverse[i]
-        best = pick(i, dist_u[u], idx_u[u])
-        if best is None and kk < n_u:
-            if u not in full_cache:
-                full_cache[u] = tree.query(uniq[u], k=n_u)
-            best = pick(i, *full_cache[u])
-        if best is not None:
-            anchors.append(i)
-            partners.append(best[1])
-    if not anchors:
+    w = theiler_window
+    # The window holds 2w indices besides i, so at most 2w distinct points
+    # other than i's own lie wholly inside it.  Of the 2w + 2 nearest (i's
+    # own first, at distance 0) one is thus a valid partner, and a query
+    # that stops short of all n_u points never needs widening.
+    kk = min(n_u, max(32, 2 * w + 2))
+    dist_u, idx_u = cKDTree(uniq).query(uniq, k=kk)
+    # point v's indices, ascending, are members[starts[v]:starts[v + 1]]
+    members = np.argsort(inverse, kind="stable")
+    starts = np.searchsorted(inverse[members], np.arange(n_u + 1))
+    keys = inverse[members] * n + members
+    best_d, best_j = np.full(n, np.inf), np.full(n, -1)
+    rows = np.arange(n)
+    for col in range(kk):
+        # columns come in distance order, so a beaten row is done
+        d = dist_u[inverse[rows], col]
+        keep = d <= best_d[rows]
+        rows, d = rows[keep], d[keep]
+        # v's earliest index before the window, else its first one after it
+        v = idx_u[inverse[rows], col]
+        first = members[starts[v]]
+        before = first < rows - w
+        after = np.searchsorted(keys, v * n + rows + w, side="right")
+        j = np.where(before, first, members[np.minimum(after, n - 1)])
+        ok = (d > 0.0) & (before | (after < starts[v + 1]))
+        better = ok & ((d < best_d[rows]) | (j < best_j[rows]))
+        best_d[rows[better]] = d[better]
+        best_j[rows[better]] = j[better]
+    anchors = np.flatnonzero(best_j >= 0)
+    if not anchors.size:
         raise EstimationError("no neighbor pairs satisfy the distance criteria")
-    return np.array(anchors), np.array(partners)
+    return anchors, best_j[anchors]
 
 
 def lyapunov_rosenstein(
@@ -192,8 +183,6 @@ def lyapunov_rosenstein(
     curve = np.full(max_steps + 1, np.nan)
     for s in steps:
         alive = (anchors + s < n) & (partners + s < n)
-        if not alive.any():
-            continue
         diffs = points[anchors[alive] + s] - points[partners[alive] + s]
         dists = np.sqrt((diffs * diffs).sum(axis=1))
         dists = dists[dists > 0.0]

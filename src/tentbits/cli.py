@@ -68,6 +68,8 @@ def _parse_seed(text: str, width: core.BitWidth) -> tuple[int, bool]:
 def _resolve_spec(args) -> RunSpec:
     width = core.BitWidth(args.bits)
     seed, was_random = _parse_seed(args.seed, width)
+    if args.n < 1:
+        raise ValueError(f"need at least one step, got n={args.n}")
     spec = RunSpec(
         width=width,
         seed=seed,
@@ -79,8 +81,6 @@ def _resolve_spec(args) -> RunSpec:
     )
     if was_random:
         print(f"seed: {spec.seed_hex}", file=sys.stderr)
-    if args.n < 1:
-        raise ValueError(f"need at least one step, got n={args.n}")
     return spec
 
 
@@ -446,3 +446,7 @@ def main(argv=None) -> int:
 
 def cli_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    cli_main()

@@ -165,7 +165,7 @@ def validate_structure(netlist: Netlist) -> None:
     no element drives an interface net (seed, load select, or constant
     zero), and every undriven net is one; the combinational subgraph is
     acyclic, i.e. every feedback loop crosses a flip-flop; and the
-    flip-flop count matches the declared width.
+    flip-flop count and the multiplexer's width match the declared width.
     """
     externals = netlist.external_nets
     drivers: dict[str, str] = {}
@@ -182,9 +182,14 @@ def validate_structure(netlist: Netlist) -> None:
         for net in el.inputs:
             if net not in drivers and net not in externals:
                 raise StructuralError(f"net {net} feeding {el.id} has no driver")
-    if len(netlist.dffs()) != netlist.width.k:
+    k = netlist.width.k
+    dffs = len(netlist.dffs())
+    if dffs != k:
+        raise StructuralError(f"{dffs} flip-flops for a {k}-bit register")
+    mux = netlist._mux
+    if len(mux.outputs) != k:
         raise StructuralError(
-            f"{len(netlist.dffs())} flip-flops for a {netlist.width.k}-bit register"
+            f"MUX {mux.id} drives {len(mux.outputs)} nets for a {k}-bit register"
         )
     _topo_order(netlist)
 

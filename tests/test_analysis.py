@@ -12,6 +12,7 @@ from tentbits.core import MapConfig, decode_series, iterate, step, tent_exact
 from tentbits.analysis import (
     CYCLE_ENUM_MAX_WIDTH,
     EstimationError,
+    _nearest_neighbors,
     autocorrelation,
     cycle_census,
     cycle_detect,
@@ -314,6 +315,81 @@ class TestLyapunovRosenstein:
         estimate = lyapunov_rosenstein(series)
         window = estimate.curve[1:9]
         assert np.all(np.diff(window) > 0)
+
+
+def brute_force_partners(points, w):
+    """O(n^2) reference: argmin (distance, j) over distance > 0, |i - j| > w."""
+    diffs = points[:, None, :] - points[None, :, :]
+    dist = np.sqrt((diffs * diffs).sum(axis=2))
+    idx = np.arange(len(points))
+    valid = (dist > 0.0) & (np.abs(idx[:, None] - idx[None, :]) > w)
+    # argmin takes the first of equal minima: the lower index
+    partners = np.where(valid, dist, np.inf).argmin(axis=1)
+    anchors = np.flatnonzero(valid.any(axis=1))
+    return anchors, partners[anchors]
+
+
+class TestNearestNeighbors:
+    def _check(self, points, w):
+        anchors, partners = _nearest_neighbors(points, w)
+        ref_anchors, ref_partners = brute_force_partners(points, w)
+        np.testing.assert_array_equal(anchors, ref_anchors)
+        np.testing.assert_array_equal(partners, ref_partners)
+
+    # w = 20 queries 2w + 2 = 42 > 32 neighbors
+    @pytest.mark.parametrize("w", (0, 10, 20))
+    def test_continuous_points(self, w):
+        points = np.random.default_rng(11).random((1500, 2))
+        self._check(points, w)
+
+    @pytest.mark.parametrize("w", (0, 10, 20))
+    def test_tie_heavy_lattice(self, w):
+        # 4 x 8 = 32 distinct points, so the query covers all of them
+        rng = np.random.default_rng(12)
+        points = np.column_stack(
+            [rng.integers(0, 4, 1500), rng.integers(0, 8, 1500)]
+        ).astype(float)
+        self._check(points, w)
+
+    @pytest.mark.parametrize("w", (0, 10, 20))
+    def test_four_bit_orbit(self, w):
+        # a 7-state cycle: every embedded point repeats every 7 steps
+        xs = np.asarray(decode_series(iterate(MapConfig(width=4), 0x8, 1500)[1:], 4))
+        self._check(np.column_stack([xs[:-1], xs[1:]]), w)
+
+    @pytest.mark.parametrize("w", (16, 20, 40))
+    def test_window_sized_query_holds_a_partner(self, w):
+        # on a line the 2w nearest points of i are all inside its window,
+        # so only the max(32, 2w + 2)-neighbor query reaches a partner
+        points = np.arange(300.0)[:, None]
+        anchors, partners = _nearest_neighbors(points, w)
+        assert anchors.tolist() == list(range(300))
+        assert np.all(np.abs(partners - anchors) == w + 1)
+
+    def test_points_without_partner_are_left_out(self):
+        # no index of 0..39 lies more than 30 away from 9..30
+        points = np.arange(40.0)[:, None]
+        anchors, _ = _nearest_neighbors(points, 30)
+        assert anchors.tolist() == [*range(9), *range(31, 40)]
+        self._check(points, 30)
+
+    @pytest.mark.parametrize(
+        "k,seed,neighbors,exponent",
+        [
+            (8, 0x40, 65535, 0.4885703462981267),
+            (16, 0x5A3C, 65535, 0.6905107781294528),
+            (32, 0x12345678, 65535, 0.6927844286208811),
+        ],
+        ids=("k8", "k16", "k32"),
+    )
+    def test_cli_parameters_pinned(self, k, seed, neighbors, exponent):
+        # the parameters and seeds of `analyze` and the acceptance criteria
+        values = decode_series(iterate(MapConfig(width=k), seed, 65536)[1:], k)
+        estimate = lyapunov_rosenstein(
+            values, embed_dim=2, delay=1, theiler_window=10, max_steps=12
+        )
+        assert estimate.neighbor_count == neighbors
+        assert estimate.exponent == exponent
 
 
 class TestCsvWriters:

@@ -1,11 +1,17 @@
 """Command-line behavior: formats, reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from tentbits.cli import EXIT_ALL_TESTS_FAILED, EXIT_OK, EXIT_USAGE, main
 from tentbits.core import MapConfig, iterate, output_stream
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestGen:
@@ -323,6 +329,40 @@ def test_bad_width_is_one_line_error(argv, capsys):
     captured = capsys.readouterr()
     assert captured.err.splitlines() == ["error: width must be in [2, 64], got 1"]
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--bits", "8", "--seed", "random", "--n", "0"],
+        ["netlist", "--bits", "8", "--simulate", "--seed", "random", "--n", "0"],
+        ["analyze", "--bits", "8", "--seed", "random", "--n", "0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_bad_n_with_random_seed_is_one_line_error(argv, capsys):
+    # n is checked before the random seed is echoed
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: need at least one step, got n=0"]
+    assert captured.out == ""
+
+
+def test_module_entry_point_runs_main():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "tentbits.cli", "gen", "--bits", "4", "--seed", "0x8",
+         "--n", "7", "--format", "hex"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == EXIT_OK, result.stderr
+    assert result.stdout.split("\n") == ["8", "E", "3", "6", "D", "5", "B", "8", ""]
 
 
 def test_usage_error_exits_2(capsys):

@@ -114,6 +114,29 @@ class TestStructure:
         with pytest.raises(StructuralError):
             Element("bad", "NAND", ("a", "b"), ("c",))
 
+    @pytest.mark.parametrize(
+        "edited,nets",
+        [
+            # widened: the extra run-side net zz would parse as a zero net
+            (
+                "MUX mux d0,d1,d2,d3,d4 load seed0 seed1 seed2 seed3 seed4 "
+                "c1 c2 c3 p zz",
+                5,
+            ),
+            # narrowed: the undriven d3 would parse as a zero net
+            ("MUX mux d0,d1,d2 load seed0 seed1 seed2 c1 c2 c3", 3),
+        ],
+        ids=("widened", "narrowed"),
+    )
+    def test_mux_width_checked(self, edited, nets):
+        text = export_text(build_tent_netlist(4))
+        line = "MUX mux d0,d1,d2,d3 load seed0 seed1 seed2 seed3 c1 c2 c3 p"
+        assert line in text.splitlines()
+        with pytest.raises(
+            StructuralError, match=f"^MUX mux drives {nets} nets for a 4-bit register$"
+        ):
+            parse_text(text.replace(line, edited))
+
     def test_every_loop_crosses_a_flip_flop(self):
         # the register feedback exists, yet the combinational order resolves
         circuit = build_tent_netlist(8)
