@@ -14,7 +14,8 @@ import math
 import sys
 from collections.abc import Mapping
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from itertools import repeat
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -76,9 +77,32 @@ class CycleReport:
     reaches_zero: bool
 
 
+@dataclass(frozen=True, eq=False)
+class CycleTable:
+    """Cycle reports as columns: row i describes seed[i]."""
+
+    seed: np.ndarray
+    transient: np.ndarray
+    period: np.ndarray
+    reaches_zero: np.ndarray
+
+    @classmethod
+    def of(cls, reports) -> CycleTable:
+        """The table whose rows are the given reports, in order."""
+        return cls(*map(np.array, zip(*map(astuple, reports))))
+
+    def __len__(self) -> int:
+        return len(self.seed)
+
+    def __iter__(self):
+        columns = (self.seed, self.transient, self.period, self.reaches_zero)
+        for row in zip(*(column.tolist() for column in columns)):
+            yield CycleReport(*row)
+
+
 @dataclass(frozen=True)
 class CycleCensus:
-    """Aggregate over every seed of a width: exhaustive enumeration."""
+    """Aggregate over the seeds of a cycle table."""
 
     width: int
     perturbed: bool
@@ -86,6 +110,18 @@ class CycleCensus:
     mean_period: float
     max_period: int
     zero_reaching: int
+
+    @classmethod
+    def of(cls, table: CycleTable, width: BitWidth | int, perturbed: bool) -> CycleCensus:
+        # an integer sum divided once, as exact as Python's sum over ints
+        return cls(
+            width=as_width(width).k,
+            perturbed=perturbed,
+            seeds=len(table),
+            mean_period=int(table.period.sum()) / len(table),
+            max_period=int(table.period.max()),
+            zero_reaching=int(table.reaches_zero.sum()),
+        )
 
 
 def lyapunov_direct() -> float:
@@ -102,11 +138,11 @@ def _nearest_neighbors(points: np.ndarray, theiler_window: int):
     """Rosenstein partners: for each point i, the index j of smallest
     (distance, j) over the points at positive distance with |i - j| > w
     (w = theiler_window), so ties go to the lower index.  The search
-    covers the max(32, 2w + 2) nearest distinct points of i, as cKDTree
-    orders ties at that boundary, or all of them if there are fewer; a
-    point with no partner there is left out.  Deduplicating first keeps
-    heavily quantized series cheap.  Returns (anchors, partners),
-    anchors ascending.
+    covers the max(32, 2w + 2) nearest distinct points of i, widened
+    while the best distance found equals the farthest one queried, or
+    all of them if there are fewer; a point with no partner there is
+    left out.  Deduplicating first keeps heavily quantized series cheap.
+    Returns (anchors, partners), anchors ascending.
     """
     n = len(points)
     uniq, inverse = np.unique(points, axis=0, return_inverse=True)
@@ -118,30 +154,40 @@ def _nearest_neighbors(points: np.ndarray, theiler_window: int):
     # The window holds 2w indices besides i, so at most 2w distinct points
     # other than i's own lie wholly inside it.  Of the 2w + 2 nearest (i's
     # own first, at distance 0) one is thus a valid partner, and a query
-    # that stops short of all n_u points never needs widening.
+    # that stops short of all n_u points needs widening only for ties.
     kk = min(n_u, max(32, 2 * w + 2))
-    dist_u, idx_u = cKDTree(uniq).query(uniq, k=kk)
     # point v's indices, ascending, are members[starts[v]:starts[v + 1]]
     members = np.argsort(inverse, kind="stable")
     starts = np.searchsorted(inverse[members], np.arange(n_u + 1))
     keys = inverse[members] * n + members
     best_d, best_j = np.full(n, np.inf), np.full(n, -1)
-    rows = np.arange(n)
-    for col in range(kk):
-        # columns come in distance order, so a beaten row is done
-        d = dist_u[inverse[rows], col]
-        keep = d <= best_d[rows]
-        rows, d = rows[keep], d[keep]
-        # v's earliest index before the window, else its first one after it
-        v = idx_u[inverse[rows], col]
-        first = members[starts[v]]
-        before = first < rows - w
-        after = np.searchsorted(keys, v * n + rows + w, side="right")
-        j = np.where(before, first, members[np.minimum(after, n - 1)])
-        ok = (d > 0.0) & (before | (after < starts[v + 1]))
-        better = ok & ((d < best_d[rows]) | (j < best_j[rows]))
-        best_d[rows[better]] = d[better]
-        best_j[rows[better]] = j[better]
+    # row i's neighbours are line lines[i] of the query of the points queried
+    pending, queried, lines = np.arange(n), uniq, inverse
+    while pending.size:
+        dist_u, idx_u = cKDTree(uniq).query(queried, k=kk)
+        rows = pending
+        for col in range(kk):
+            # columns come in distance order, so a beaten row is done
+            d = dist_u[lines[rows], col]
+            keep = d <= best_d[rows]
+            rows, d = rows[keep], d[keep]
+            # v's earliest index before the window, else its first one after it
+            v = idx_u[lines[rows], col]
+            first = members[starts[v]]
+            before = first < rows - w
+            after = np.searchsorted(keys, v * n + rows + w, side="right")
+            j = np.where(before, first, members[np.minimum(after, n - 1)])
+            ok = (d > 0.0) & (before | (after < starts[v + 1]))
+            better = ok & ((d < best_d[rows]) | (j < best_j[rows]))
+            best_d[rows[better]] = d[better]
+            best_j[rows[better]] = j[better]
+        # points past the query's edge may tie the best distance with a
+        # lower index: widen the query for those rows until none does
+        edge = dist_u[lines[pending], -1]
+        pending = pending[(best_d[pending] == edge) & (kk < n_u)]
+        kk = min(n_u, 2 * kk)
+        distinct = np.unique(inverse[pending])
+        queried, lines = uniq[distinct], np.searchsorted(distinct, inverse)
     anchors = np.flatnonzero(best_j >= 0)
     if not anchors.size:
         raise EstimationError("no neighbor pairs satisfy the distance criteria")
@@ -315,12 +361,50 @@ def cycle_detect(config: MapConfig, seed: int) -> CycleReport:
     )
 
 
-def cycle_table(width: BitWidth | int, perturbed: bool = True) -> list[CycleReport]:
+def _classify(succ: np.ndarray):
+    """Transient, period and root (the least node of the cycle it
+    reaches) of every node of a functional graph, succ[v] being v's
+    successor.
+
+    Nodes nothing points to are peeled off layer by layer; what is left
+    is the union of the cycles.  Pointer doubling labels each cycle node
+    with its cycle's smallest node, and a count of labels gives the
+    periods.  Replaying the layers in reverse hands each peeled node its
+    successor's root and period and one more transient step.
+    """
+    n = len(succ)
+    indegree = np.bincount(succ, minlength=n)
+    layers = []
+    layer = np.flatnonzero(indegree == 0)
+    while layer.size:
+        layers.append(layer)
+        hit, count = np.unique(succ[layer], return_counts=True)
+        indegree[hit] -= count
+        layer = hit[indegree[hit] == 0]
+    cycle = np.flatnonzero(indegree)
+    # after r rounds label[v] is the least of v's next 2**r nodes, which
+    # covers the whole cycle once 2**r >= n
+    label, jump = np.arange(n), succ
+    for _ in range((n - 1).bit_length()):
+        label = np.minimum(label, label[jump])
+        jump = jump[jump]
+    period = np.zeros(n, dtype=np.intp)
+    period[cycle] = np.bincount(label[cycle], minlength=n)[label[cycle]]
+    transient = np.zeros(n, dtype=np.intp)
+    for layer in reversed(layers):
+        ahead = succ[layer]
+        transient[layer] = transient[ahead] + 1
+        period[layer] = period[ahead]
+        label[layer] = label[ahead]
+    return transient, period, label
+
+
+def cycle_table(width: BitWidth | int, perturbed: bool = True) -> CycleTable:
     """Cycle report for every seed of a width, exhaustively.
 
-    Memoized functional-graph sweep: each word is visited O(1) times,
-    so the whole table costs O(2**k) map evaluations instead of running
-    the per-seed detector 2**k times.  Results match cycle_detect.
+    One map evaluation per word builds the successor table; the
+    functional graph is then classified with whole-array operations.
+    Results match cycle_detect.
     """
     width = as_width(width)
     if width.k > CYCLE_ENUM_MAX_WIDTH:
@@ -329,55 +413,21 @@ def cycle_table(width: BitWidth | int, perturbed: bool = True) -> list[CycleRepo
         )
     config = MapConfig(width=width, perturbed=perturbed)
     size = 1 << width.k
-    transient = [-1] * size
-    period = [0] * size
-    zero = [False] * size
-    for seed in range(size):
-        if transient[seed] >= 0:
-            continue
-        path: list[int] = []
-        position: dict[int, int] = {}
-        w = seed
-        while transient[w] < 0 and w not in position:
-            position[w] = len(path)
-            path.append(w)
-            w = step(config, w)
-        if transient[w] >= 0:
-            # ran into already-classified territory
-            base, cyc, hits_zero = transient[w], period[w], zero[w]
-            for pos, node in enumerate(path):
-                transient[node] = base + (len(path) - pos)
-                period[node] = cyc
-                zero[node] = hits_zero
-        else:
-            start = position[w]
-            cyc = len(path) - start
-            hits_zero = cyc == 1 and w == 0
-            for pos, node in enumerate(path):
-                transient[node] = start - pos if pos < start else 0
-                period[node] = cyc
-                zero[node] = hits_zero
-    return [
-        CycleReport(
-            seed=s, transient=transient[s], period=period[s], reaches_zero=zero[s]
-        )
-        for s in range(size)
-    ]
+    succ = np.fromiter(
+        map(step, repeat(config, size), range(size)), dtype=np.intp, count=size
+    )
+    transient, period, root = _classify(succ)
+    return CycleTable(
+        seed=np.arange(size),
+        transient=transient,
+        period=period,
+        reaches_zero=(period == 1) & (root == 0),
+    )
 
 
 def cycle_census(width: BitWidth | int, perturbed: bool = True) -> CycleCensus:
     """Aggregate cycle statistics over every seed of a width."""
-    width = as_width(width)
-    reports = cycle_table(width, perturbed)
-    periods = [r.period for r in reports]
-    return CycleCensus(
-        width=width.k,
-        perturbed=perturbed,
-        seeds=len(reports),
-        mean_period=sum(periods) / len(periods),
-        max_period=max(periods),
-        zero_reaching=sum(r.reaches_zero for r in reports),
-    )
+    return CycleCensus.of(cycle_table(width, perturbed), width, perturbed)
 
 
 def _write_csv(path, header, rows) -> None:
@@ -408,15 +458,8 @@ def write_return_map_csv(pairs: np.ndarray, path) -> None:
     _write_csv(path, ["x_n", "x_next"], rows)
 
 
-def write_cycle_reports_csv(reports, width: BitWidth | int, path) -> None:
-    digits = as_width(width).hex_digits
-    rows = (
-        [
-            f"0x{r.seed:0{digits}X}",
-            r.transient,
-            r.period,
-            "true" if r.reaches_zero else "false",
-        ]
-        for r in reports
-    )
+def write_cycle_reports_csv(table: CycleTable, width: BitWidth | int, path) -> None:
+    seeds = map(f"0x%0{as_width(width).hex_digits}X".__mod__, table.seed.tolist())
+    flags = map(("false", "true").__getitem__, table.reaches_zero.tolist())
+    rows = zip(seeds, table.transient.tolist(), table.period.tolist(), flags)
     _write_csv(path, ["seed", "transient", "period", "reaches_zero"], rows)

@@ -301,25 +301,25 @@ def cmd_cycles(args) -> int:
     if args.seed is not None:
         seed, _ = _parse_seed(args.seed, width)
         config = core.MapConfig(width=width, perturbed=perturbed)
-        reports = [analysis.cycle_detect(config, seed)]
+        table = analysis.CycleTable.of([analysis.cycle_detect(config, seed)])
     elif args.exhaustive:
         if width.k > analysis.CYCLE_ENUM_MAX_WIDTH:
             raise ValueError(
                 f"exhaustive census is limited to {analysis.CYCLE_ENUM_MAX_WIDTH} bits; "
                 "pass --seed for a single orbit"
             )
-        reports = analysis.cycle_table(width, perturbed)
+        table = analysis.cycle_table(width, perturbed)
     else:
         raise ValueError("pass --seed WORD or --exhaustive")
 
-    analysis.write_cycle_reports_csv(reports, width, args.out)
+    analysis.write_cycle_reports_csv(table, width, args.out)
 
-    periods = [r.period for r in reports]
+    census = analysis.CycleCensus.of(table, width, perturbed)
     summary = [
-        f"seeds: {len(reports)}",
-        f"mean period: {sum(periods) / len(periods):.3f}",
-        f"max period: {max(periods)}",
-        f"zero-reaching seeds: {sum(r.reaches_zero for r in reports)}",
+        f"seeds: {census.seeds}",
+        f"mean period: {census.mean_period:.3f}",
+        f"max period: {census.max_period}",
+        f"zero-reaching seeds: {census.zero_reaching}",
     ]
     print("\n".join(summary), file=sys.stderr)
     return EXIT_OK

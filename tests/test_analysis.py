@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tentbits import analysis
 from tentbits.core import MapConfig, decode_series, iterate, step, tent_exact
 from tentbits.analysis import (
     CYCLE_ENUM_MAX_WIDTH,
     EstimationError,
+    _classify,
     _nearest_neighbors,
     autocorrelation,
     cycle_census,
@@ -229,6 +231,77 @@ class TestCycleTable:
             assert report.transient >= 0
             assert report.transient + report.period <= size
 
+    def test_one_map_step_per_word(self, monkeypatch):
+        # the benchmark predicts 2**k core.step calls for a census
+        calls = []
+
+        def counted(config, w):
+            calls.append(w)
+            return step(config, w)
+
+        monkeypatch.setattr(analysis, "step", counted)
+        assert len(cycle_table(10)) == 1024
+        assert len(calls) == 1024
+
+
+def classify_oracle(succ):
+    """Visited-set walk of a functional graph: (transient, period, least
+    node of the cycle reached) per node."""
+    out = []
+    for v in range(len(succ)):
+        seen, path = {}, []
+        while v not in seen:
+            seen[v] = len(path)
+            path.append(v)
+            v = succ[v]
+        first = seen[v]
+        out.append((first, len(path) - first, min(path[first:])))
+    return out
+
+
+class TestClassify:
+    def _check(self, succ):
+        transient, period, root = _classify(np.asarray(succ, dtype=np.intp))
+        got = list(zip(transient.tolist(), period.tolist(), root.tolist()))
+        assert got == classify_oracle(succ)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_functional_graphs(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 400))
+        self._check(rng.integers(0, n, n).tolist())
+
+    def test_long_chain_into_self_loop(self):
+        # 500 -> 499 -> ... -> 1 -> 0 -> 0
+        self._check([0] + list(range(500)))
+
+    # one cycle longer than half the graph needs every doubling round
+    @pytest.mark.parametrize(
+        "lengths", ((1, 2, 3, 5, 8, 13, 21, 34, 55, 158), (300,)), ids=("ten", "one")
+    )
+    def test_permutation_of_cycles(self, lengths):
+        nodes = np.random.default_rng(7).permutation(300).tolist()
+        succ = [0] * 300
+        start = 0
+        for length in lengths:
+            cycle = nodes[start : start + length]
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                succ[a] = b
+            start += length
+        self._check(succ)
+
+    def test_tails_into_one_long_cycle(self):
+        # a 100-cycle on 0..99; nodes 100.. hang off it in chains
+        succ = [(v + 1) % 100 for v in range(100)]
+        rng = np.random.default_rng(8)
+        for v in range(100, 600):
+            succ.append(int(rng.integers(0, v)))
+        self._check(succ)
+
+    @pytest.mark.parametrize("n", (1, 2, 257))
+    def test_everything_maps_to_zero(self, n):
+        self._check([0] * n)
+
 
 class TestCycleCensus:
     def test_four_bit_aggregate(self):
@@ -248,6 +321,17 @@ class TestCycleCensus:
 
     def test_determinism(self):
         assert cycle_census(6) == cycle_census(6)
+
+    def test_twenty_bit_census_pinned(self):
+        # the earlier per-seed sweep's figures; 516033 = lcm(63, 8191)
+        perturbed = cycle_census(20)
+        assert perturbed.seeds == 1 << 20
+        assert perturbed.max_period == 516033
+        assert perturbed.mean_period == 508035.95264434814
+        assert perturbed.zero_reaching == 2
+        plain = cycle_census(20, perturbed=False)
+        assert plain.max_period == 20
+        assert plain.mean_period == 19.979995727539062
 
 
 class TestFirstReturnPairs:
@@ -365,6 +449,11 @@ class TestNearestNeighbors:
         anchors, partners = _nearest_neighbors(points, w)
         assert anchors.tolist() == list(range(300))
         assert np.all(np.abs(partners - anchors) == w + 1)
+
+    @pytest.mark.parametrize("w", (15, 20))
+    def test_ties_past_the_query_go_to_lower_index(self, w):
+        # i - w - 1 and i + w + 1 tie just past the 2w + 2 nearest points
+        self._check(np.arange(300.0)[:, None], w)
 
     def test_points_without_partner_are_left_out(self):
         # no index of 0..39 lies more than 30 away from 9..30

@@ -1,5 +1,6 @@
 """Command-line behavior: formats, reports, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -268,6 +269,20 @@ class TestCycles:
 
     def test_exhaustive_width_bound(self, capsys):
         assert main(["cycles", "--bits", "24", "--exhaustive"]) == EXIT_USAGE
+
+    def test_sixteen_bit_census_pinned(self, capsysbinary):
+        # the bytes the earlier per-seed sweep wrote
+        assert main(["cycles", "--bits", "16", "--exhaustive", "--out", "-"]) == EXIT_OK
+        captured = capsysbinary.readouterr()
+        assert hashlib.sha256(captured.out).hexdigest() == (
+            "89f6d08474f9338755a6264cffdf1177806fbb9a8a8051369f8558a71b7c8959"
+        )
+        assert captured.err.decode().splitlines() == [
+            "seeds: 65536",
+            "mean period: 32766.000",
+            "max period: 32767",
+            "zero-reaching seeds: 2",
+        ]
 
     def test_requires_mode(self, capsys):
         assert main(["cycles", "--bits", "8"]) == EXIT_USAGE
