@@ -361,6 +361,27 @@ def cycle_detect(config: MapConfig, seed: int) -> CycleReport:
     )
 
 
+def _least_ahead(succ: np.ndarray) -> np.ndarray:
+    """Pointer doubling: label[v] is the least node of the cycle v lies
+    on, for every cycle node v (other nodes get a node ahead of them).
+
+    After r rounds label[v] is the least of v's next 2**r nodes, which
+    covers the whole cycle once 2**r >= n.  A round that would change no
+    label stops it sooner: then label[v] <= label[jump[v]] for every v,
+    and on a cycle the jumps from v come back to v, so every label along
+    them is equal; their windows together cover the cycle, so each
+    cycle node's label is already the cycle's least.
+    """
+    label, jump = np.arange(len(succ)), succ
+    for _ in range((len(succ) - 1).bit_length()):
+        ahead = label[jump]
+        if (ahead >= label).all():
+            break
+        np.minimum(label, ahead, out=label)
+        jump = jump[jump]
+    return label
+
+
 def _classify(succ: np.ndarray):
     """Transient, period and root (the least node of the cycle it
     reaches) of every node of a functional graph, succ[v] being v's
@@ -382,12 +403,7 @@ def _classify(succ: np.ndarray):
         indegree[hit] -= count
         layer = hit[indegree[hit] == 0]
     cycle = np.flatnonzero(indegree)
-    # after r rounds label[v] is the least of v's next 2**r nodes, which
-    # covers the whole cycle once 2**r >= n
-    label, jump = np.arange(n), succ
-    for _ in range((n - 1).bit_length()):
-        label = np.minimum(label, label[jump])
-        jump = jump[jump]
+    label = _least_ahead(succ)
     period = np.zeros(n, dtype=np.intp)
     period[cycle] = np.bincount(label[cycle], minlength=n)[label[cycle]]
     transient = np.zeros(n, dtype=np.intp)

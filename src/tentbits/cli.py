@@ -101,30 +101,31 @@ def _trajectory(spec: RunSpec) -> list[int]:
     return core.iterate(config, spec.seed, spec.n)
 
 
-def _pack_bits(bits: list[int]) -> bytes:
-    # high bits first; the tail byte is zero-padded
-    return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()
-
-
 def _write_trajectory(words: list[int], spec: RunSpec, out: str) -> None:
     digits = spec.width.hex_digits
     if spec.fmt == "raw":
-        payload = _pack_bits(core.output_stream(words, spec.width, spec.tap))
+        # high bits first; the tail byte is zero-padded
+        bits = core.output_array(words, spec.width, spec.tap)
+        payload = np.packbits(bits).tobytes()
         if out == "-":
             sys.stdout.buffer.write(payload)
         else:
             Path(out).write_bytes(payload)
         return
     if spec.fmt == "bits":
-        lines = [str(b) for b in core.output_stream(words, spec.width, spec.tap)]
+        # one ASCII "0\n" or "1\n" per bit
+        bits = core.output_array(words, spec.width, spec.tap)
+        bits += ord("0")
+        lines = np.column_stack((bits, np.full_like(bits, ord("\n"))))
+        text = lines.tobytes().decode("ascii")
     elif spec.fmt == "hex":
-        lines = [f"{w:0{digits}X}" for w in words]
+        text = "".join(f"{w:0{digits}X}\n" for w in words)
     else:  # csv
         values = core.decode_series(words, spec.width)
         lines = ["index,word,value"]
         for i, (w, x) in enumerate(zip(words, values)):
             lines.append(f"{i},0x{w:0{digits}X},{x!r}")
-    text = "\n".join(lines) + "\n"
+        text = "\n".join(lines) + "\n"
     if out == "-":
         sys.stdout.write(text)
     else:
@@ -161,7 +162,7 @@ def cmd_netlist(args) -> int:
 
 
 def _analyze_entropy(spec: RunSpec, bits, values, out_dir: Path, args) -> dict:
-    counts = [bits.count(0), bits.count(1)]
+    counts = np.bincount(bits, minlength=2).tolist()
     result = analysis.shannon_entropy(counts)
     entry = {
         "test": "entropy",
@@ -176,10 +177,7 @@ def _analyze_entropy(spec: RunSpec, bits, values, out_dir: Path, args) -> dict:
 
 
 def _analyze_autocorr(spec: RunSpec, bits, values, out_dir: Path, args) -> dict:
-    if args.autocorr_series == "bits":
-        series = [float(b) for b in bits]
-    else:
-        series = values
+    series = bits if args.autocorr_series == "bits" else values
     result = analysis.autocorrelation(series, args.max_lag)
     analysis.write_autocorrelation_csv(result, out_dir / "autocorr.csv")
     peak = float(np.abs(result.r[1:]).max())
@@ -265,7 +263,7 @@ def cmd_analyze(args) -> int:
 
     trajectory = _trajectory(spec)
     words = trajectory[1:]  # n generated states; the seed itself is echoed below
-    bits = core.output_stream(words, spec.width, spec.tap)
+    bits = core.output_array(words, spec.width, spec.tap)
     values = core.decode_series(words, spec.width)
 
     entries = []

@@ -17,8 +17,11 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Collection
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 MIN_WIDTH = 2
 MAX_WIDTH = 64
@@ -28,7 +31,12 @@ _HALF = Fraction(1, 2)
 
 @dataclass(frozen=True)
 class BitWidth:
-    """Register width: the number of fractional bits in a state word."""
+    """Register width: the number of fractional bits in a state word.
+
+    max_word is the largest word value, also the all-ones pattern that
+    decodes to 1.  It is computed once, as a plain attribute rather
+    than a field, so repr, == and hash see only k.
+    """
 
     k: int
 
@@ -37,11 +45,7 @@ class BitWidth:
         object.__setattr__(self, "k", k)
         if not MIN_WIDTH <= k <= MAX_WIDTH:
             raise ValueError(f"width must be in [{MIN_WIDTH}, {MAX_WIDTH}], got {k}")
-
-    @property
-    def max_word(self) -> int:
-        """Largest word value; also the all-ones pattern that decodes to 1."""
-        return (1 << self.k) - 1
+        object.__setattr__(self, "max_word", (1 << k) - 1)
 
     @property
     def ulp(self) -> float:
@@ -63,6 +67,8 @@ def as_width(width: BitWidth | int) -> BitWidth:
 
 def check_word(w: int, width: BitWidth | int) -> int:
     """Validate that w fits in the register; returns w as a plain int."""
+    if type(w) is int and isinstance(width, BitWidth) and 0 <= w <= width.max_word:
+        return w
     width = as_width(width)
     w = operator.index(w)
     if not 0 <= w <= width.max_word:
@@ -143,12 +149,14 @@ def step(config: MapConfig, w: int) -> int:
     clear, or the complement cleared it), so the shift never overflows.
     """
     width = config.width
-    w = check_word(w, width)
-    top = (w >> (width.k - 1)) & 1
-    t = w ^ width.max_word if top else w
+    m = width.max_word
+    if type(w) is not int or not 0 <= w <= m:
+        w = check_word(w, width)  # converts the word, or raises its error
+    top = w >> (width.k - 1)
+    t = w ^ m if top else w
     # perturbation_bit of the already checked w
     serial = (w ^ (w >> 1)) & 1 if config.perturbed else 0
-    return ((t << 1) | serial) & width.max_word
+    return ((t << 1) | serial) & m
 
 
 def iterate(config: MapConfig, w0: int, n: int) -> list[int]:
@@ -183,11 +191,35 @@ def output_bit(w: int, width: BitWidth | int, tap: str = "msb") -> int:
     return output_stream([w], width, tap)[0]
 
 
-def output_stream(words, width: BitWidth | int, tap: str = "msb") -> list[int]:
-    """Binary output bits for a word sequence.
+def _word_array(words, width: BitWidth) -> np.ndarray:
+    """The words as a uint64 array, each checked as check_word checks it.
+
+    One pass converts them (operator.index, so a float raises
+    TypeError) and one reduction checks their range.  If either fails,
+    check_word walks the words in order, so the first bad word raises
+    the error it raises on its own.  Words that are not a collection
+    (a generator, say) are read into a list first, so that walk can
+    happen and the array is allocated once at its full size.
+    """
+    if not isinstance(words, Collection):
+        words = list(words)
+    try:
+        array = np.fromiter(map(operator.index, words), np.uint64, len(words))
+        if array.max(initial=0) > width.max_word:
+            raise ValueError("a word does not fit")
+    except (TypeError, ValueError, OverflowError):
+        for w in words:
+            check_word(w, width)
+        raise
+    return array
+
+
+def output_array(words, width: BitWidth | int, tap: str = "msb") -> np.ndarray:
+    """Binary output bits for a word sequence, as a uint8 array.
 
     The default tap is the most significant bit (the branch-decision
     bit of the map); `lsb` taps the freshly injected serial bit instead.
+    The words are checked once, in one pass over them all.
     """
     width = as_width(width)
     if tap == "msb":
@@ -196,14 +228,30 @@ def output_stream(words, width: BitWidth | int, tap: str = "msb") -> list[int]:
         shift = 0
     else:
         raise ValueError(f"unknown tap {tap!r}, expected 'msb' or 'lsb'")
-    return [(check_word(w, width) >> shift) & 1 for w in words]
+    bits = _word_array(words, width)
+    bits >>= shift
+    bits &= 1
+    return bits.astype(np.uint8)
+
+
+def output_stream(words, width: BitWidth | int, tap: str = "msb") -> list[int]:
+    """Binary output bits for a word sequence, as a list of ints.
+
+    The words are checked once, in one pass; see output_array.
+    """
+    return output_array(words, width, tap).tolist()
 
 
 def decode_series(words, width: BitWidth | int) -> list[float]:
-    """Decoded values for a word sequence."""
+    """Decoded values for a word sequence.
+
+    The words are checked once, in one pass over them all.  Each value
+    is then the exact Python w / (2**k - 1): a float64 division of the
+    words would round twice above 53 bits.
+    """
     width = as_width(width)
     m = width.max_word
-    return [check_word(w, width) / m for w in words]
+    return [w / m for w in _word_array(words, width).tolist()]
 
 
 def is_degenerate_seed(w: int, width: BitWidth | int) -> bool:

@@ -302,6 +302,19 @@ class TestClassify:
     def test_everything_maps_to_zero(self, n):
         self._check([0] * n)
 
+    def test_long_cycle_among_self_loops(self):
+        # the self-loops settle in the first round, the 4096-cycle only
+        # after twelve: doubling must not stop while any label moves
+        n, length = 20000, 4096
+        cycle = np.random.default_rng(9).permutation(n)[:length]
+        succ = np.arange(n)
+        succ[cycle] = np.roll(cycle, -1)
+        transient, period, root = _classify(succ)
+        on_cycle = np.isin(np.arange(n), cycle)
+        assert not transient.any()
+        assert (period == np.where(on_cycle, length, 1)).all()
+        assert (root == np.where(on_cycle, cycle.min(), np.arange(n))).all()
+
 
 class TestCycleCensus:
     def test_four_bit_aggregate(self):

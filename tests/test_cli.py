@@ -47,6 +47,18 @@ class TestGen:
         expected = output_stream(iterate(MapConfig(width=8), 0xC0, 3), 8)
         assert capsys.readouterr().out.split() == [str(b) for b in expected]
 
+    @pytest.mark.parametrize("fmt", ("bits", "hex"))
+    def test_one_line_per_state(self, capsys, fmt):
+        code = main(["gen", "--bits", "8", "--seed", "0xC0", "--n", "40",
+                     "--format", fmt])
+        assert code == EXIT_OK
+        words = iterate(MapConfig(width=8), 0xC0, 40)
+        if fmt == "bits":
+            lines = [str(b) for b in output_stream(words, 8)]
+        else:
+            lines = [f"{w:02X}" for w in words]
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
     def test_lsb_tap(self, capsys):
         code = main(["gen", "--bits", "8", "--seed", "0xC0", "--n", "3",
                      "--tap", "lsb"])

@@ -1,21 +1,28 @@
 """Word-model tests: encoding, complement, step semantics, exact tracking."""
 
+import dataclasses
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tentbits import core
 from tentbits.core import (
     BitWidth,
     MapConfig,
+    check_word,
     complement,
     decode,
     decode_exact,
+    decode_series,
     encode,
     is_degenerate_seed,
     iterate,
+    output_array,
     output_bit,
     output_stream,
     perturbation_bit,
@@ -49,6 +56,48 @@ class TestBitWidth:
     def test_ulp(self):
         assert BitWidth(8).ulp == 1 / 255
         assert BitWidth(8).ulp_exact() == Fraction(1, 255)
+
+    def test_stored_max_word_keeps_value_semantics(self):
+        assert repr(BitWidth(8)) == "BitWidth(k=8)"
+        assert BitWidth(8) == BitWidth(8)
+        assert BitWidth(8) != BitWidth(9)
+        assert hash(BitWidth(8)) == hash(BitWidth(8))
+        assert len({BitWidth(8), BitWidth(8), BitWidth(9)}) == 2
+        assert [f.name for f in dataclasses.fields(BitWidth)] == ["k"]
+        assert dataclasses.replace(BitWidth(8), k=4).max_word == 15
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            BitWidth(8).max_word = 7
+
+
+class TestCheckWord:
+    def test_returns_plain_int(self):
+        assert check_word(200, 8) == 200
+        assert check_word(200, BitWidth(8)) == 200
+        for w in (True, np.uint8(1), np.int64(1)):
+            assert type(check_word(w, 8)) is int
+            assert check_word(w, 8) == 1
+
+    @pytest.mark.parametrize(
+        "w, k, message",
+        (
+            (-1, 8, "word -0x1 does not fit in 8 bits"),
+            (256, 8, "word 0x100 does not fit in 8 bits"),
+            (2**64, 64, "word 0x10000000000000000 does not fit in 64 bits"),
+            (np.int64(-2), 8, "word -0x2 does not fit in 8 bits"),
+        ),
+    )
+    def test_rejects_out_of_range(self, w, k, message):
+        with pytest.raises(ValueError) as exc:
+            check_word(w, k)
+        assert str(exc.value) == message
+
+    def test_rejects_float(self):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+            check_word(1.0, 8)
+
+    def test_width_is_checked_first(self):
+        with pytest.raises(ValueError, match="width must be in"):
+            check_word(1, 1)
 
 
 class TestMapConfig:
@@ -161,6 +210,16 @@ class TestStep:
             cfg = MapConfig(width=8, perturbed=perturbed)
             assert step(cfg, 0) == 0
 
+    def test_checks_its_word(self):
+        cfg = MapConfig(width=8)
+        for bad, error in ((256, ValueError), (-1, ValueError), (2.0, TypeError)):
+            with pytest.raises(error):
+                step(cfg, bad)
+        # any index-like word steps as its int value
+        for w in (True, np.uint8(2), np.int64(255)):
+            assert step(cfg, w) == step(cfg, int(w))
+            assert type(step(cfg, w)) is int
+
     @given(width_and_word(max_k=16))
     def test_shift_never_overflows(self, kw):
         k, w = kw
@@ -222,6 +281,21 @@ class TestIterate:
         with pytest.raises(ValueError):
             iterate(MapConfig(width=8), 1, 0)
 
+    @pytest.mark.parametrize("k", (16, 64))
+    def test_one_map_step_per_state(self, monkeypatch, k):
+        # the benchmark predicts n core.step calls for a stream of n
+        # states, as TestCycleTable pins 2**k for a census
+        calls = []
+
+        def counted(config, w):
+            calls.append(w)
+            return step(config, w)
+
+        monkeypatch.setattr(core, "step", counted)
+        words = iterate(MapConfig(width=k), 0x5A3C, 1000)
+        assert len(calls) == 1000
+        assert calls == words[:-1]
+
 
 class TestTentExact:
     def test_linear_branch(self):
@@ -271,6 +345,103 @@ class TestOutputBits:
 
     def test_stream(self):
         assert output_stream([0b1000, 0b0111], 4) == [1, 0]
+
+    @pytest.mark.parametrize("tap", ("msb", "lsb"))
+    def test_array_is_the_stream(self, tap):
+        words = iterate(MapConfig(width=64), 0x5A3C, 200)
+        bits = output_array(words, 64, tap)
+        assert bits.dtype == np.uint8
+        assert bits.tolist() == output_stream(words, 64, tap)
+
+
+# output_stream and decode_series check all their words in one pass; a
+# bad word must raise what check_word raises for it on its own
+WORD_SERIES = (output_stream, decode_series)
+
+
+class TestWordSeriesChecks:
+    @pytest.mark.parametrize("series", WORD_SERIES)
+    @pytest.mark.parametrize("at", (0, 3, 6), ids=("first", "middle", "last"))
+    @pytest.mark.parametrize(
+        "bad, k, message",
+        (
+            (-1, 8, "word -0x1 does not fit in 8 bits"),
+            (256, 8, "word 0x100 does not fit in 8 bits"),
+            (2**64, 64, "word 0x10000000000000000 does not fit in 64 bits"),
+        ),
+        ids=("negative", "max_word+1", "2**64"),
+    )
+    def test_bad_word_message(self, series, at, bad, k, message):
+        words = [1, 2, 3, 4, 5, 6]
+        words.insert(at, bad)
+        with pytest.raises(ValueError) as exc:
+            series(words, k)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("series", WORD_SERIES)
+    def test_first_bad_word_raises(self, series):
+        with pytest.raises(ValueError, match="word 0x100 does not"):
+            series([1, 256, -1, 2.0, 2**70], 8)
+        with pytest.raises(ValueError, match="word -0x1 does not"):
+            series([1, -1, 256], 8)
+        with pytest.raises(TypeError):
+            series([1, 2.0, 256], 8)
+        with pytest.raises(ValueError, match="word 0x10000000000000000 does not"):
+            series([1, 2**64, 2.0], 8)
+
+    @pytest.mark.parametrize("series", WORD_SERIES)
+    @pytest.mark.parametrize("at", (0, 2))
+    def test_float_word_is_a_type_error(self, series, at):
+        words = [1, 2]
+        words.insert(at, 1.0)
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+            series(words, 8)
+
+    def test_numpy_and_bool_words(self):
+        words = [True, np.uint8(3), np.int64(200), np.uint64(255), False]
+        assert output_stream(words, 8) == [0, 0, 1, 1, 0]
+        assert output_stream(words, 8, tap="lsb") == [1, 1, 0, 1, 0]
+        assert decode_series(words, 8) == [1 / 255, 3 / 255, 200 / 255, 1.0, 0.0]
+        top = np.uint64(2**64 - 1)
+        assert output_stream([top], 64) == [1]
+        assert decode_series([top], 64) == [1.0]
+
+    def test_array_input_is_left_alone(self):
+        words = np.array([0x80, 0x7F, 0xFF], dtype=np.uint64)
+        assert output_stream(words, 8) == [1, 0, 1]
+        assert words.tolist() == [0x80, 0x7F, 0xFF]
+
+    @pytest.mark.parametrize("series", WORD_SERIES)
+    def test_generator_input(self, series):
+        words = [0, 9, 200, 255]
+        assert series((w for w in words), 8) == series(words, 8)
+        with pytest.raises(ValueError, match="word 0x100 does not fit in 8 bits"):
+            series((w for w in [1, 256, -1]), 8)
+
+    @pytest.mark.parametrize("series", WORD_SERIES)
+    def test_empty_input(self, series):
+        assert series([], 8) == []
+        assert series(iter(()), 64) == []
+
+    def test_return_types(self):
+        words = iterate(MapConfig(width=64), 0x5A3C, 50)
+        bits = output_stream(words, 64)
+        values = decode_series(words, 64)
+        assert type(bits) is list and all(type(b) is int for b in bits)
+        assert type(values) is list and all(type(x) is float for x in values)
+
+    @pytest.mark.parametrize("k", (54, 64))
+    def test_decode_stays_exact_above_53_bits(self, k):
+        # a float64 divide of the words rounds each word to 53 bits
+        # first; decode_series must keep the one rounding of w / m
+        m = (1 << k) - 1
+        rng = random.Random(k)
+        words = []
+        while len(words) < 40:
+            w = rng.randrange(m + 1)
+            if float(w) / float(m) != float(Fraction(w, m)):
+                words.append(w)
+        assert decode_series(words, k) == [float(Fraction(w, m)) for w in words]
 
 
 class TestDegenerateSeeds:
