@@ -93,9 +93,12 @@ def _warn_degenerate(spec: RunSpec) -> None:
         )
 
 
-def _trajectory(spec: RunSpec) -> list[int]:
+def _trajectory(spec: RunSpec, circuit: nl.Netlist | None = None) -> list[int]:
+    """The spec's trajectory; the netlist backend clocks `circuit`, built
+    from the spec when not given."""
     if spec.backend == "netlist":
-        circuit = nl.build_tent_netlist(spec.width, perturbed=spec.perturbed)
+        if circuit is None:
+            circuit = nl.build_tent_netlist(spec.width, perturbed=spec.perturbed)
         return nl.run(circuit, spec.seed, spec.n)
     config = core.MapConfig(width=spec.width, perturbed=spec.perturbed)
     return core.iterate(config, spec.seed, spec.n)
@@ -132,10 +135,10 @@ def _write_trajectory(words: list[int], spec: RunSpec, out: str) -> None:
         Path(out).write_text(text)
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args, circuit: nl.Netlist | None = None) -> int:
     spec = _resolve_spec(args)
     _warn_degenerate(spec)
-    words = _trajectory(spec)
+    words = _trajectory(spec, circuit)
     _write_trajectory(words, spec, args.out)
     return EXIT_OK
 
@@ -157,7 +160,7 @@ def cmd_netlist(args) -> int:
     if args.simulate:
         if args.seed is None or args.n is None:
             raise ValueError("--simulate needs --seed and --n")
-        return cmd_gen(args)
+        return cmd_gen(args, circuit)
     raise ValueError("choose one of --stats, --export, --simulate")
 
 

@@ -21,7 +21,10 @@ multiplexer passing its run side, flip-flops), and the seed and zero
 nets are constants; validate_structure makes sure no element drives
 them or the load select.  So a run cycle is exactly the affine map
 w -> M.w ^ c, where c is the probe from zero and column j of M is the
-probe from bit j less c, and `run` applies that map to every later word.
+probe from bit j less c.  `run` reads that map off the probes with
+`gf2.AffineMap.from_probe` and returns its orbit from the loaded word;
+the orbit jumps ahead to anchors and advances them in blocks (see gf2),
+so no further gate-level clock is needed.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from .core import BitWidth, as_width, check_word
+from .gf2 import AffineMap
 
 XOR2 = "XOR2"
 DFF = "DFF"
@@ -257,7 +261,7 @@ def run(netlist: Netlist, seed: int, n: int) -> list[int]:
 
     Returns the n + 1 register words; this is the one way to simulate a
     netlist.  Gate-level clocking gives the load cycle and the affine map
-    of a run cycle (see the module docstring), which clocks the rest.
+    of a run cycle (see the module docstring), whose orbit is the rest.
     Bit-for-bit equal to the word model: run(netlist, w0, n) matches
     iterate(MapConfig(width), w0, n) for netlists built here.
     """
@@ -267,24 +271,9 @@ def run(netlist: Netlist, seed: int, n: int) -> list[int]:
     validate_structure(netlist)
     order = _topo_order(netlist)
     k = netlist.width.k
-    words = [_clock(netlist, order, 0, seed, 1)]
-    c = _clock(netlist, order, 0, seed, 0)
-    columns = [_clock(netlist, order, 1 << j, seed, 0) ^ c for j in range(k)]
-    # M.w as one lookup per byte of w: table[x] is M applied to x << lo
-    tables = []
-    for lo in range(0, k, 8):
-        table = [0]
-        for col in columns[lo : lo + 8]:
-            table += [t ^ col for t in table]
-        tables.append((lo, table))
-    w = words[0]
-    for _ in range(n):
-        nxt = c
-        for lo, table in tables:
-            nxt ^= table[(w >> lo) & 255]
-        w = nxt
-        words.append(w)
-    return words
+    loaded = _clock(netlist, order, 0, seed, 1)
+    cycle = AffineMap.from_probe(lambda w: _clock(netlist, order, w, seed, 0), k)
+    return cycle.orbit(loaded, n)
 
 
 def export_text(netlist: Netlist) -> str:

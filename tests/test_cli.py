@@ -151,6 +151,26 @@ class TestNetlistCommand:
         assert main(["netlist", *shared, "--simulate", "--out", str(sim_out)]) == EXIT_OK
         assert gen_out.read_bytes() == sim_out.read_bytes()
 
+    @pytest.mark.parametrize("variant", ("perturbed", "unperturbed"))
+    def test_simulate_builds_the_circuit_once(self, monkeypatch, capsys, variant):
+        from tentbits import netlist as nl
+
+        built = []
+        real_build = nl.build_tent_netlist
+
+        def counting_build(*args, **kwargs):
+            built.append(real_build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(nl, "build_tent_netlist", counting_build)
+        argv = ["--bits", "8", "--seed", "0x5A", "--n", "20", "--variant", variant]
+        assert main(["netlist", *argv, "--simulate", "--format", "hex"]) == EXIT_OK
+        assert len(built) == 1
+        assert built[0] == real_build(8, perturbed=variant == "perturbed")
+        gate = capsys.readouterr().out
+        assert main(["gen", *argv, "--format", "hex"]) == EXIT_OK
+        assert capsys.readouterr().out == gate
+
     def test_simulate_requires_seed_and_n(self, capsys):
         assert main(["netlist", "--bits", "8", "--simulate"]) == EXIT_USAGE
 

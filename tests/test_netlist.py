@@ -1,10 +1,13 @@
 """Circuit-model tests: census, structure, simulation, text round-trip."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tentbits.core import BitWidth, MapConfig, iterate
+from tentbits.core import BitWidth, MapConfig, iterate, step
+from tentbits.gf2 import AffineMap
 from tentbits.netlist import (
     DFF,
     MUX,
@@ -180,6 +183,11 @@ class TestSimulation:
         for seed in (0, 2 * top - 1, top | 1, 0x9E3779B97F4A7C15 % (2 * top)):
             assert run(circuit, seed, 200) == iterate(config, seed, 200)
 
+    def test_run_matches_iterate_at_gate_workload_size(self):
+        seed = 0x9E3779B97F4A7C15
+        n = 1 << 17
+        assert run(build_tent_netlist(64), seed, n) == iterate(MapConfig(64), seed, n)
+
     @pytest.mark.parametrize("seed", (0, 1, 77, 200, 255))
     def test_unperturbed_run_matches_word_model(self, seed):
         circuit = build_tent_netlist(8, perturbed=False)
@@ -307,9 +315,35 @@ def _hand_edited(k, edits):
     return parse_text("\n".join(lines) + "\n")
 
 
+def _run_cycle_map(circuit, seed):
+    """The affine map of one run cycle, probed at gate level."""
+    order = _topo_order(circuit)
+    k = circuit.width.k
+    return AffineMap.from_probe(lambda w: _clock(circuit, order, w, seed, 0), k)
+
+
 class TestAffineRun:
     """run applies the affine map read off k + 1 probes; _clock is the
     gate-level reference it must reproduce on every cycle."""
+
+    @pytest.mark.parametrize("perturbed", (True, False))
+    @pytest.mark.parametrize("k", range(2, 65))
+    def test_circuit_map_is_word_model_map(self, k, perturbed):
+        # run is [load, then the run cycle's orbit]; the load passes the
+        # seed, and the run cycle's map equals the word model's linear step,
+        # so run == iterate for every seed and n
+        config = MapConfig(width=k, perturbed=perturbed)
+        model = AffineMap.from_probe(partial(step, config), k)
+        assert model.constant == 0
+        top = (1 << k) - 1
+        samples = [(i * 0x9E3779B97F4A7C15) & top for i in range(1, 9)]
+        for a, b in zip(samples, reversed(samples)):
+            assert step(config, a ^ b) == step(config, a) ^ step(config, b)
+        circuit = build_tent_netlist(k, perturbed=perturbed)
+        order = _topo_order(circuit)
+        for seed in (0, top, *samples[:2]):
+            assert _clock(circuit, order, 0, seed, 1) == seed
+            assert _run_cycle_map(circuit, seed) == model
 
     @pytest.mark.parametrize(
         "edits",
@@ -321,11 +355,14 @@ class TestAffineRun:
         order = _topo_order(circuit)
         top = (1 << k) - 1
         seeds = {0, top} | {(i * 0x9E3779B97F4A7C15) & top for i in range(62)}
-        for seed in sorted(seeds):
+        # 60 cycles from every seed, and 1000 cycles (many orbit blocks)
+        # from two of them
+        runs = [(seed, 60) for seed in sorted(seeds)] + [(top, 1000), (5, 1000)]
+        for seed, n in runs:
             words = [_clock(circuit, order, 0, seed, 1)]
-            for _ in range(60):
+            for _ in range(n):
                 words.append(_clock(circuit, order, words[-1], seed, 0))
-            assert run(circuit, seed, 60) == words
+            assert run(circuit, seed, n) == words
 
     def test_hand_edits_take_effect(self):
         # the edited circuits leave the word model, so the check above is
@@ -339,3 +376,11 @@ class TestAffineRun:
         order = _topo_order(circuit)
         assert _clock(circuit, order, 0, 0, 0) == 0
         assert _clock(circuit, order, 0, 1 << 1, 0) == 1
+
+    @pytest.mark.parametrize("k", (4, 9, 17))
+    def test_hand_edits_give_distinct_maps(self, k):
+        edit_sets = [(), ("serial",), ("load",), ("cross",), ("serial", "load", "cross")]
+        seed = 0b10  # seed{k-2} is set, so the serial edit's constant is 1
+        maps = [_run_cycle_map(_hand_edited(k, edits), seed) for edits in edit_sets]
+        assert maps[0] == AffineMap.from_probe(partial(step, MapConfig(k)), k)
+        assert len(set(maps)) == len(edit_sets)
