@@ -4,22 +4,22 @@ Covers the largest Lyapunov exponent (analytic value and a neighbor-
 tracking estimator), normalized Shannon entropy, autocorrelation,
 uniformity histogram with chi-square, first-return pairs, and the cycle
 structure of the finite state space (per-seed detection plus exhaustive
-census).  All functions are pure; the census is a deterministic sweep.
+census).  The census classifies the successor table of every word
+with whole-array numpy operations.  Every CSV is written column-wise by
+`columns.write`.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-import sys
 from collections.abc import Mapping
-from contextlib import nullcontext
 from dataclasses import astuple, dataclass
 from itertools import repeat
 
 import numpy as np
 from scipy.spatial import cKDTree
 
+from . import columns
 from .core import BitWidth, MapConfig, as_width, check_word, step
 
 CYCLE_ENUM_MAX_WIDTH = 20
@@ -446,36 +446,52 @@ def cycle_census(width: BitWidth | int, perturbed: bool = True) -> CycleCensus:
     return CycleCensus.of(cycle_table(width, perturbed), width, perturbed)
 
 
-def _write_csv(path, header, rows) -> None:
-    """Write a header row, then rows, with LF line endings; "-" is stdout."""
-    with nullcontext(sys.stdout) if path == "-" else open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def write_histogram_csv(result: HistogramResult, path) -> None:
-    rows = ([b, int(count)] for b, count in enumerate(result.counts))
-    _write_csv(path, ["bin", "count"], rows)
+    counts = result.counts
+    columns.write(path, ["bin", "count"], len(counts), lambda rows: [
+        columns.decimal(np.arange(rows.start, rows.stop)),
+        columns.decimal(counts[rows]),
+    ])
 
 
 def write_autocorrelation_csv(result: AutocorrResult, path) -> None:
-    rows = ([int(lag), float(value)] for lag, value in zip(result.lags, result.r))
-    _write_csv(path, ["lag", "r"], rows)
+    lags, r = result.lags, result.r
+    columns.write(path, ["lag", "r"], len(r), lambda rows: [
+        columns.decimal(lags[rows]), columns.floats(r[rows]),
+    ])
 
 
 def write_divergence_csv(estimate: LyapunovEstimate, path) -> None:
-    rows = ([int(s), float(value)] for s, value in zip(estimate.steps, estimate.curve))
-    _write_csv(path, ["step", "mean_log_divergence"], rows)
+    steps, curve = estimate.steps, estimate.curve
+    columns.write(path, ["step", "mean_log_divergence"], len(curve), lambda rows: [
+        columns.decimal(steps[rows]), columns.floats(curve[rows]),
+    ])
 
 
 def write_return_map_csv(pairs: np.ndarray, path) -> None:
-    rows = ([float(x), float(x_next)] for x, x_next in pairs)
-    _write_csv(path, ["x_n", "x_next"], rows)
+    pairs = np.asarray(pairs, dtype=float)
+    x, x_next = pairs[:, 0], pairs[:, 1]
+    if np.array_equal(x[1:].view(np.uint64), x_next[:-1].view(np.uint64)):
+        # consecutive pairs: x_next of a row is x_n of the next, bit for
+        # bit, so one column of values, repr'd once, gives both
+        values = np.append(x, x_next[-1:])
+
+        def render(rows):
+            text = columns.floats(values[rows.start : rows.stop + 1])
+            return [text[:-1], text[1:]]
+    else:
+        def render(rows):
+            return [columns.floats(x[rows]), columns.floats(x_next[rows])]
+    columns.write(path, ["x_n", "x_next"], len(pairs), render)
 
 
 def write_cycle_reports_csv(table: CycleTable, width: BitWidth | int, path) -> None:
-    seeds = map(f"0x%0{as_width(width).hex_digits}X".__mod__, table.seed.tolist())
-    flags = map(("false", "true").__getitem__, table.reaches_zero.tolist())
-    rows = zip(seeds, table.transient.tolist(), table.period.tolist(), flags)
-    _write_csv(path, ["seed", "transient", "period", "reaches_zero"], rows)
+    digits = as_width(width).hex_digits
+    flags = np.array([b"false", b"true"])
+    header = ["seed", "transient", "period", "reaches_zero"]
+    columns.write(path, header, len(table), lambda rows: [
+        columns.hexadecimal(table.seed[rows], digits, prefix=b"0x"),
+        columns.decimal(table.transient[rows]),
+        columns.decimal(table.period[rows]),
+        columns.strings(flags[table.reaches_zero[rows].astype(np.intp)]),
+    ])

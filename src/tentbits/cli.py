@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, core, netlist as nl
+from . import analysis, columns, core, netlist as nl
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -106,29 +106,34 @@ def _trajectory(spec: RunSpec, circuit: nl.Netlist | None = None) -> list[int]:
 
 def _write_trajectory(words: list[int], spec: RunSpec, out: str) -> None:
     digits = spec.width.hex_digits
+    if spec.fmt == "hex":
+        array = np.array(words, dtype=np.uint64)
+        columns.write(out, None, len(words), lambda rows: [
+            columns.hexadecimal(array[rows], digits),
+        ])
+        return
+    if spec.fmt == "csv":
+        array = np.array(words, dtype=np.uint64)
+        values = core.decode_series(words, spec.width)
+        columns.write(out, ["index", "word", "value"], len(words), lambda rows: [
+            columns.decimal(np.arange(rows.start, rows.stop)),
+            columns.hexadecimal(array[rows], digits, prefix=b"0x"),
+            columns.floats(values[rows]),
+        ])
+        return
+    bits = core.output_array(words, spec.width, spec.tap)
     if spec.fmt == "raw":
         # high bits first; the tail byte is zero-padded
-        bits = core.output_array(words, spec.width, spec.tap)
         payload = np.packbits(bits).tobytes()
         if out == "-":
             sys.stdout.buffer.write(payload)
         else:
             Path(out).write_bytes(payload)
         return
-    if spec.fmt == "bits":
-        # one ASCII "0\n" or "1\n" per bit
-        bits = core.output_array(words, spec.width, spec.tap)
-        bits += ord("0")
-        lines = np.column_stack((bits, np.full_like(bits, ord("\n"))))
-        text = lines.tobytes().decode("ascii")
-    elif spec.fmt == "hex":
-        text = "".join(f"{w:0{digits}X}\n" for w in words)
-    else:  # csv
-        values = core.decode_series(words, spec.width)
-        lines = ["index,word,value"]
-        for i, (w, x) in enumerate(zip(words, values)):
-            lines.append(f"{i},0x{w:0{digits}X},{x!r}")
-        text = "\n".join(lines) + "\n"
+    # bits: one ASCII "0\n" or "1\n" per bit
+    bits += ord("0")
+    lines = np.column_stack((bits, np.full_like(bits, ord("\n"))))
+    text = lines.tobytes().decode("ascii")
     if out == "-":
         sys.stdout.write(text)
     else:

@@ -294,10 +294,14 @@ class TestCycles:
 
     def test_stdout_matches_file(self, tmp_path, capsysbinary):
         out = tmp_path / "cycles.csv"
-        assert main(["cycles", "--bits", "4", "--exhaustive"]) == EXIT_OK
-        stdout = capsysbinary.readouterr().out
-        assert main(["cycles", "--bits", "4", "--exhaustive", "--out", str(out)]) == EXIT_OK
-        assert stdout == out.read_bytes()
+        modes = (["--exhaustive"], ["--seed", "0x5A3"], ["--seed", "0xFFF"])
+        for variant in ("perturbed", "unperturbed"):
+            for mode in modes:
+                argv = ["cycles", "--bits", "12", "--variant", variant, *mode]
+                assert main(argv) == EXIT_OK
+                stdout = capsysbinary.readouterr().out
+                assert main([*argv, "--out", str(out)]) == EXIT_OK
+                assert stdout == out.read_bytes()
 
     def test_exhaustive_width_bound(self, capsys):
         assert main(["cycles", "--bits", "24", "--exhaustive"]) == EXIT_USAGE

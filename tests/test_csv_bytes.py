@@ -1,0 +1,254 @@
+"""Byte oracles for every CSV and hex listing the package writes.
+
+The references below are the row-at-a-time writers the column-wise
+`tentbits.columns` replaced: `csv.writer` over Python rows for the
+analysis CSVs, one f-string per word for `gen --format csv|hex`.  Every
+writer must emit exactly their bytes.
+"""
+
+import csv
+import random
+import sys
+from contextlib import nullcontext
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from tentbits import analysis, columns
+from tentbits.analysis import (
+    CycleTable,
+    LyapunovEstimate,
+    autocorrelation,
+    cycle_detect,
+    cycle_table,
+    first_return_pairs,
+    histogram,
+    lyapunov_rosenstein,
+)
+from tentbits.cli import EXIT_OK, main
+from tentbits.core import BitWidth, MapConfig, decode_series, iterate
+
+
+def reference_csv(path, header, rows) -> None:
+    with nullcontext(sys.stdout) if path == "-" else open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def reference_histogram(result, path) -> None:
+    rows = ([b, int(count)] for b, count in enumerate(result.counts))
+    reference_csv(path, ["bin", "count"], rows)
+
+
+def reference_autocorrelation(result, path) -> None:
+    rows = ([int(lag), float(value)] for lag, value in zip(result.lags, result.r))
+    reference_csv(path, ["lag", "r"], rows)
+
+
+def reference_divergence(estimate, path) -> None:
+    rows = ([int(s), float(value)] for s, value in zip(estimate.steps, estimate.curve))
+    reference_csv(path, ["step", "mean_log_divergence"], rows)
+
+
+def reference_return_map(pairs, path) -> None:
+    rows = ([float(x), float(x_next)] for x, x_next in pairs)
+    reference_csv(path, ["x_n", "x_next"], rows)
+
+
+def reference_cycle_reports(table, width, path) -> None:
+    seeds = map(f"0x%0{BitWidth(width).hex_digits}X".__mod__, table.seed.tolist())
+    flags = map(("false", "true").__getitem__, table.reaches_zero.tolist())
+    rows = zip(seeds, table.transient.tolist(), table.period.tolist(), flags)
+    reference_csv(path, ["seed", "transient", "period", "reaches_zero"], rows)
+
+
+def reference_trajectory(words, k: int, fmt: str) -> bytes:
+    digits = BitWidth(k).hex_digits
+    if fmt == "hex":
+        return "".join(f"{w:0{digits}X}\n" for w in words).encode()
+    values = decode_series(words, k)
+    lines = ["index,word,value"]
+    for i, (w, x) in enumerate(zip(words, values)):
+        lines.append(f"{i},0x{w:0{digits}X},{x!r}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def assert_same_bytes(tmp_path, write, reference, *args):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write(*args, got)
+    reference(*args, want)
+    assert got.read_bytes() == want.read_bytes()
+
+
+VARIANTS = pytest.mark.parametrize("perturbed", (True, False), ids=("pert", "unpert"))
+
+
+class TestCycleReports:
+    @VARIANTS
+    @pytest.mark.parametrize("k", [*range(2, 13), 18, 20])
+    def test_census_tables(self, tmp_path, k, perturbed):
+        assert_same_bytes(
+            tmp_path,
+            analysis.write_cycle_reports_csv,
+            reference_cycle_reports,
+            cycle_table(k, perturbed),
+            k,
+        )
+
+    @VARIANTS
+    @pytest.mark.parametrize(
+        "k, seed", [(2, 0x3), (12, 0x5A3), (64, 0), (64, (1 << 64) - 1)]
+    )
+    def test_one_row_seed_table(self, tmp_path, k, seed, perturbed):
+        report = cycle_detect(MapConfig(width=k, perturbed=perturbed), seed)
+        table = CycleTable.of([report])
+        assert_same_bytes(
+            tmp_path,
+            analysis.write_cycle_reports_csv,
+            reference_cycle_reports,
+            table,
+            k,
+        )
+
+
+class TestAnalysisCsvs:
+    def test_histogram_with_empty_bins(self, tmp_path):
+        result = histogram([0.0, 0.05, 0.05, 0.5, 1.0], bins=64)
+        assert (result.counts == 0).sum() > 50
+        assert_same_bytes(tmp_path, analysis.write_histogram_csv, reference_histogram, result)
+
+    @pytest.mark.parametrize("k", (8, 32))
+    def test_autocorrelation_of_values(self, tmp_path, k):
+        values = decode_series(iterate(MapConfig(width=k), 0x5A, 4096)[1:], k)
+        result = autocorrelation(values, 100)
+        assert (result.r < 0).any()
+        assert_same_bytes(
+            tmp_path, analysis.write_autocorrelation_csv, reference_autocorrelation, result
+        )
+
+    def test_divergence_curves(self, tmp_path):
+        values = decode_series(iterate(MapConfig(width=16), 0x5A3C, 2000)[1:], 16)
+        estimate = lyapunov_rosenstein(values)
+        assert_same_bytes(
+            tmp_path, analysis.write_divergence_csv, reference_divergence, estimate
+        )
+        curve = estimate.curve.copy()
+        curve[[0, 5, 12]] = np.nan
+        curve[3] = -curve[3]
+        with_nan = LyapunovEstimate(0.5, (1, 8), 10, estimate.steps, curve)
+        assert_same_bytes(
+            tmp_path, analysis.write_divergence_csv, reference_divergence, with_nan
+        )
+
+    @pytest.mark.parametrize("k", (3, 8, 32, 64))
+    def test_return_maps(self, tmp_path, k):
+        m = (1 << k) - 1
+        words = [m, 0, 1, m - 1, *iterate(MapConfig(width=k), 0x5 % m, 3000), m, 0]
+        values = decode_series(words, k)
+        assert 0.0 in values and 1.0 in values
+        for series in (values, values[:2]):
+            assert_same_bytes(
+                tmp_path,
+                analysis.write_return_map_csv,
+                reference_return_map,
+                first_return_pairs(series),
+            )
+
+    def test_return_map_across_blocks(self, tmp_path):
+        # more rows than one block, so x_next of a block's last row is
+        # the first value of the next block
+        n = columns.BLOCK_ROWS + 10
+        values = decode_series(iterate(MapConfig(width=32), 0x12345678, n)[1:], 32)
+        assert_same_bytes(
+            tmp_path,
+            analysis.write_return_map_csv,
+            reference_return_map,
+            first_return_pairs(values),
+        )
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [[0.1, 0.2], [0.3, 0.4]],  # not consecutive
+            [[0.5, 0.0], [-0.0, 1.0]],  # equal under ==, not bit for bit
+            [[0.25, float("nan")], [float("nan"), 0.75]],
+        ],
+        ids=("unchained", "signed-zero", "nan"),
+    )
+    def test_return_map_of_any_pairs(self, tmp_path, pairs):
+        assert_same_bytes(
+            tmp_path,
+            analysis.write_return_map_csv,
+            reference_return_map,
+            np.array(pairs),
+        )
+
+    def test_stdout_equals_file(self, tmp_path, capsys):
+        values = decode_series(iterate(MapConfig(width=12), 0x5A3, 3000)[1:], 12)
+        cases = [
+            (analysis.write_histogram_csv, histogram(values, 16)),
+            (analysis.write_autocorrelation_csv, autocorrelation(values, 20)),
+            (analysis.write_divergence_csv, lyapunov_rosenstein(values)),
+            (analysis.write_return_map_csv, first_return_pairs(values)),
+        ]
+        for write, result in cases:
+            write(result, tmp_path / "out.csv")
+            write(result, "-")
+            assert capsys.readouterr().out.encode() == (tmp_path / "out.csv").read_bytes()
+        table = cycle_table(12)
+        analysis.write_cycle_reports_csv(table, 12, tmp_path / "out.csv")
+        analysis.write_cycle_reports_csv(table, 12, "-")
+        assert capsys.readouterr().out.encode() == (tmp_path / "out.csv").read_bytes()
+
+
+class TestDigits:
+    EDGES = [0, 1, 9, 10, 15, 16, 99, 100, (1 << 63) - 1, 1 << 63, (1 << 64) - 1]
+
+    @given(st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=50))
+    def test_exact_for_every_uint64(self, values):
+        values = self.EDGES + values
+        array = np.array(values, dtype=np.uint64)
+        text = columns.decimal(array)
+        assert [bytes(row).replace(b"\0", b"") for row in text] == [
+            str(v).encode() for v in values
+        ]
+        text = columns.hexadecimal(array, 16, prefix=b"0x")
+        assert [bytes(row) for row in text] == [f"0x{v:016X}".encode() for v in values]
+
+    def test_rejects_what_str_would_not_print_as_digits(self):
+        with pytest.raises(ValueError, match="negative"):
+            columns.decimal(np.array([3, -1]))
+        with pytest.raises(TypeError, match="integer column"):
+            columns.decimal(np.array([1.0]))
+
+
+class TestCliListings:
+    @VARIANTS
+    @pytest.mark.parametrize("k", range(2, 65))
+    def test_gen_and_simulate(self, tmp_path, capsysbinary, k, perturbed):
+        variant = "perturbed" if perturbed else "unperturbed"
+        m = (1 << k) - 1
+        for seed in (0, m, random.Random(k).randrange(1, m)):
+            words = iterate(MapConfig(width=k, perturbed=perturbed), seed, 20)
+            for fmt in ("csv", "hex"):
+                want = reference_trajectory(words, k, fmt)
+                for command in (["gen"], ["netlist", "--simulate"]):
+                    argv = [*command, "--bits", str(k), "--seed", hex(seed), "--n", "20",
+                            "--variant", variant, "--format", fmt]
+                    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_OK
+                    assert (tmp_path / "out").read_bytes() == want
+                    assert main(argv) == EXIT_OK
+                    assert capsysbinary.readouterr().out == want
+
+    @pytest.mark.parametrize("fmt", ("csv", "hex"))
+    def test_gen_across_blocks(self, tmp_path, fmt):
+        n = columns.BLOCK_ROWS + 10
+        out = tmp_path / "out"
+        argv = ["gen", "--bits", "64", "--seed", "0x123456789ABCDEF", "--n", str(n),
+                "--format", fmt, "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        words = iterate(MapConfig(width=64), 0x123456789ABCDEF, n)
+        assert out.read_bytes() == reference_trajectory(words, 64, fmt)
