@@ -89,7 +89,9 @@ class CycleTable:
     @classmethod
     def of(cls, reports) -> CycleTable:
         """The table whose rows are the given reports, in order."""
-        return cls(*map(np.array, zip(*map(astuple, reports))))
+        seed, *rest = zip(*map(astuple, reports))
+        # uint64, so seeds on both sides of 2**63 stay integers
+        return cls(np.array(seed, dtype=np.uint64), *map(np.array, rest))
 
     def __len__(self) -> int:
         return len(self.seed)
@@ -138,33 +140,34 @@ def _nearest_neighbors(points: np.ndarray, theiler_window: int):
     """Rosenstein partners: for each point i, the index j of smallest
     (distance, j) over the points at positive distance with |i - j| > w
     (w = theiler_window), so ties go to the lower index.  The search
-    covers the max(32, 2w + 2) nearest distinct points of i, widened
-    while the best distance found equals the farthest one queried, or
-    all of them if there are fewer; a point with no partner there is
-    left out.  Deduplicating first keeps heavily quantized series cheap.
+    first covers the 4 nearest distinct points of i; a row whose best
+    distance is not below the farthest one queried (none found counts
+    as infinite) is queried again, twice as wide, until it is or the
+    query holds every distinct point.  A point with no partner is left
+    out.  Deduplicating first keeps heavily quantized series cheap.
     Returns (anchors, partners), anchors ascending.
     """
-    n = len(points)
-    uniq, inverse = np.unique(points, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
+    n, w = len(points), theiler_window
+    # lexsort is stable, so point v's indices, ascending, are
+    # members[starts[v]:starts[v + 1]]
+    members = np.lexsort(points.T[::-1])
+    ordered = points[members]
+    new = np.ones(n, dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    uniq, starts = ordered[new], np.append(np.flatnonzero(new), n)
     n_u = len(uniq)
     if n_u < 2:
         raise EstimationError("constant series has no distinct neighbors")
-    w = theiler_window
-    # The window holds 2w indices besides i, so at most 2w distinct points
-    # other than i's own lie wholly inside it.  Of the 2w + 2 nearest (i's
-    # own first, at distance 0) one is thus a valid partner, and a query
-    # that stops short of all n_u points needs widening only for ties.
-    kk = min(n_u, max(32, 2 * w + 2))
-    # point v's indices, ascending, are members[starts[v]:starts[v + 1]]
-    members = np.argsort(inverse, kind="stable")
-    starts = np.searchsorted(inverse[members], np.arange(n_u + 1))
-    keys = inverse[members] * n + members
+    ids = np.cumsum(new) - 1
+    inverse = np.empty_like(ids)
+    inverse[members] = ids
+    keys = ids * n + members
+    tree, kk = cKDTree(uniq), min(n_u, 4)
     best_d, best_j = np.full(n, np.inf), np.full(n, -1)
     # row i's neighbours are line lines[i] of the query of the points queried
     pending, queried, lines = np.arange(n), uniq, inverse
     while pending.size:
-        dist_u, idx_u = cKDTree(uniq).query(queried, k=kk)
+        dist_u, idx_u = tree.query(queried, k=kk)
         rows = pending
         for col in range(kk):
             # columns come in distance order, so a beaten row is done
@@ -181,10 +184,10 @@ def _nearest_neighbors(points: np.ndarray, theiler_window: int):
             better = ok & ((d < best_d[rows]) | (j < best_j[rows]))
             best_d[rows[better]] = d[better]
             best_j[rows[better]] = j[better]
-        # points past the query's edge may tie the best distance with a
-        # lower index: widen the query for those rows until none does
+        # points past the query's edge may beat or tie the best distance
+        # with a lower index: widen the query for those rows until none does
         edge = dist_u[lines[pending], -1]
-        pending = pending[(best_d[pending] == edge) & (kk < n_u)]
+        pending = pending[(best_d[pending] >= edge) & (kk < n_u)]
         kk = min(n_u, 2 * kk)
         distinct = np.unique(inverse[pending])
         queried, lines = uniq[distinct], np.searchsorted(distinct, inverse)

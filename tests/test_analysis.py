@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tentbits import analysis
 from tentbits.core import MapConfig, decode_series, iterate, step, tent_exact
@@ -433,7 +434,8 @@ class TestNearestNeighbors:
         np.testing.assert_array_equal(anchors, ref_anchors)
         np.testing.assert_array_equal(partners, ref_partners)
 
-    # w = 20 queries 2w + 2 = 42 > 32 neighbors
+    # w = 20 leaves up to 40 nearer points inside the window, far past
+    # the first 4-neighbour query
     @pytest.mark.parametrize("w", (0, 10, 20))
     def test_continuous_points(self, w):
         points = np.random.default_rng(11).random((1500, 2))
@@ -441,7 +443,7 @@ class TestNearestNeighbors:
 
     @pytest.mark.parametrize("w", (0, 10, 20))
     def test_tie_heavy_lattice(self, w):
-        # 4 x 8 = 32 distinct points, so the query covers all of them
+        # 4 x 8 = 32 distinct points, so widening reaches all of them
         rng = np.random.default_rng(12)
         points = np.column_stack(
             [rng.integers(0, 4, 1500), rng.integers(0, 8, 1500)]
@@ -457,7 +459,7 @@ class TestNearestNeighbors:
     @pytest.mark.parametrize("w", (16, 20, 40))
     def test_window_sized_query_holds_a_partner(self, w):
         # on a line the 2w nearest points of i are all inside its window,
-        # so only the max(32, 2w + 2)-neighbor query reaches a partner
+        # so only a query widened past 2w + 1 points reaches a partner
         points = np.arange(300.0)[:, None]
         anchors, partners = _nearest_neighbors(points, w)
         assert anchors.tolist() == list(range(300))
@@ -465,7 +467,8 @@ class TestNearestNeighbors:
 
     @pytest.mark.parametrize("w", (15, 20))
     def test_ties_past_the_query_go_to_lower_index(self, w):
-        # i - w - 1 and i + w + 1 tie just past the 2w + 2 nearest points
+        # i - w - 1 and i + w + 1 tie at the same distance, and a widened
+        # query may hold only one of them
         self._check(np.arange(300.0)[:, None], w)
 
     def test_points_without_partner_are_left_out(self):
@@ -475,14 +478,34 @@ class TestNearestNeighbors:
         assert anchors.tolist() == [*range(9), *range(31, 40)]
         self._check(points, 30)
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_quantized_points_match_brute_force(self, data):
+        # few levels: many rows have no partner among their first
+        # neighbours, or tie at the query's edge
+        n = data.draw(st.integers(20, 400))
+        dim = data.draw(st.integers(1, 3))
+        levels = data.draw(st.integers(2, 6))
+        w = data.draw(st.integers(0, 12))
+        points = data.draw(
+            arrays(np.int8, (n, dim), elements=st.integers(0, levels - 1))
+        ).astype(float)
+        if brute_force_partners(points, w)[0].size:
+            self._check(points, w)
+        else:
+            with pytest.raises(EstimationError):
+                _nearest_neighbors(points, w)
+
     @pytest.mark.parametrize(
         "k,seed,neighbors,exponent",
         [
             (8, 0x40, 65535, 0.4885703462981267),
             (16, 0x5A3C, 65535, 0.6905107781294528),
+            (24, 0xABCDE, 65535, 0.6928056063840703),
             (32, 0x12345678, 65535, 0.6927844286208811),
+            (64, 0x123456789ABCDEF, 65535, 0.6928749795048789),
         ],
-        ids=("k8", "k16", "k32"),
+        ids=("k8", "k16", "k24", "k32", "k64"),
     )
     def test_cli_parameters_pinned(self, k, seed, neighbors, exponent):
         # the parameters and seeds of `analyze` and the acceptance criteria

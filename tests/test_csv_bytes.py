@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from tentbits import analysis, columns
 from tentbits.analysis import (
+    CycleReport,
     CycleTable,
     LyapunovEstimate,
     autocorrelation,
@@ -111,6 +112,18 @@ class TestCycleReports:
             reference_cycle_reports,
             table,
             k,
+        )
+
+    def test_seeds_straddling_two_to_the_63(self, tmp_path):
+        reports = [CycleReport(5, 0, 1, False), CycleReport((1 << 64) - 1, 1, 1, True)]
+        table = CycleTable.of(reports)
+        assert table.seed.tolist() == [5, (1 << 64) - 1]
+        assert_same_bytes(
+            tmp_path,
+            analysis.write_cycle_reports_csv,
+            reference_cycle_reports,
+            table,
+            64,
         )
 
 
