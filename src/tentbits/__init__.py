@@ -3,99 +3,40 @@
 The word model (`core`) is the reference implementation; `netlist`
 models the same machine at gate level; `analysis` provides randomness
 and chaos diagnostics; `cli` wraps everything for reproducible runs.
+The package exports the names the demos and the README use; import
+anything else from its module.
 """
 
 from .core import (
     BitWidth,
     MapConfig,
-    complement,
     decode,
     decode_exact,
     decode_series,
     encode,
-    is_degenerate_seed,
     iterate,
-    output_bit,
     output_stream,
-    perturbation_bit,
     step,
     tent_exact,
 )
 from .netlist import (
-    Element,
-    ElementStats,
-    Netlist,
     StructuralError,
     build_tent_netlist,
     element_stats,
     export_text,
     parse_text,
     run,
-    validate_structure,
 )
 from .analysis import (
-    AutocorrResult,
-    CycleCensus,
-    CycleReport,
-    CycleTable,
-    EntropyResult,
     EstimationError,
-    HistogramResult,
-    LyapunovEstimate,
     autocorrelation,
     cycle_census,
     cycle_detect,
     cycle_table,
     first_return_pairs,
     histogram,
-    lyapunov_direct,
     lyapunov_rosenstein,
     shannon_entropy,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BitWidth",
-    "MapConfig",
-    "complement",
-    "decode",
-    "decode_exact",
-    "decode_series",
-    "encode",
-    "is_degenerate_seed",
-    "iterate",
-    "output_bit",
-    "output_stream",
-    "perturbation_bit",
-    "step",
-    "tent_exact",
-    "Element",
-    "ElementStats",
-    "Netlist",
-    "StructuralError",
-    "build_tent_netlist",
-    "element_stats",
-    "export_text",
-    "parse_text",
-    "run",
-    "validate_structure",
-    "AutocorrResult",
-    "CycleCensus",
-    "CycleReport",
-    "CycleTable",
-    "EntropyResult",
-    "EstimationError",
-    "HistogramResult",
-    "LyapunovEstimate",
-    "autocorrelation",
-    "cycle_census",
-    "cycle_detect",
-    "cycle_table",
-    "first_return_pairs",
-    "histogram",
-    "lyapunov_direct",
-    "lyapunov_rosenstein",
-    "shannon_entropy",
-    "__version__",
-]

@@ -1,12 +1,11 @@
 """Randomness and chaos diagnostics for generated sequences.
 
-Covers the largest Lyapunov exponent (analytic value and a neighbor-
-tracking estimator), normalized Shannon entropy, autocorrelation,
-uniformity histogram with chi-square, first-return pairs, and the cycle
-structure of the finite state space (per-seed detection plus exhaustive
-census).  The census classifies the successor table of every word
-with whole-array numpy operations.  Every CSV is written column-wise by
-`columns.write`.
+Covers the largest Lyapunov exponent (a neighbor-tracking estimator),
+normalized Shannon entropy, autocorrelation, uniformity histogram with
+chi-square, first-return pairs, and the cycle structure of the finite
+state space (per-seed detection plus exhaustive census).  The census
+classifies the successor table of every word with whole-array numpy
+operations.  Every CSV is written column-wise by `columns.write`.
 """
 
 from __future__ import annotations
@@ -126,16 +125,6 @@ class CycleCensus:
         )
 
 
-def lyapunov_direct() -> float:
-    """Analytic exponent of the slope-2 tent map: ln 2.
-
-    The slope magnitude is 2 everywhere except the breakpoint, so the
-    mean log derivative along any trajectory avoiding it is constant.
-    Serves as the oracle for the time-series estimator.
-    """
-    return math.log(2.0)
-
-
 def _nearest_neighbors(points: np.ndarray, theiler_window: int):
     """Rosenstein partners: for each point i, the index j of smallest
     (distance, j) over the points at positive distance with |i - j| > w
@@ -225,6 +214,11 @@ def lyapunov_rosenstein(
         raise ValueError("fit_range must be increasing and within max_steps")
 
     n = xs.size - (embed_dim - 1) * delay
+    if n < 2:
+        raise EstimationError(
+            f"embed_dim={embed_dim} and delay={delay} need at least "
+            f"{(embed_dim - 1) * delay + 2} samples, got {xs.size}"
+        )
     points = np.column_stack([xs[j * delay : j * delay + n] for j in range(embed_dim)])
     anchors, partners = _nearest_neighbors(points, theiler_window)
 

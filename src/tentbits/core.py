@@ -48,14 +48,6 @@ class BitWidth:
         object.__setattr__(self, "max_word", (1 << k) - 1)
 
     @property
-    def ulp(self) -> float:
-        """Spacing between adjacent decoded values, 1 / (2**k - 1)."""
-        return 1.0 / self.max_word
-
-    def ulp_exact(self) -> Fraction:
-        return Fraction(1, self.max_word)
-
-    @property
     def hex_digits(self) -> int:
         """Hex digits that print every word of this width at a fixed length."""
         return (self.k + 3) // 4
@@ -184,11 +176,6 @@ def tent_exact(x):
     if x < _HALF:
         return 2 * x
     return 2 * (1 - x)
-
-
-def output_bit(w: int, width: BitWidth | int, tap: str = "msb") -> int:
-    """The generator's binary output for one state; see output_stream."""
-    return output_stream([w], width, tap)[0]
 
 
 def _word_array(words, width: BitWidth) -> np.ndarray:

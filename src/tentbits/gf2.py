@@ -5,20 +5,18 @@ image of the one-bit word 1 << j) and the constant c.  A clock function
 that is affine, such as a run cycle of the register circuit, is read
 off k + 1 calls by `AffineMap.from_probe`.
 
-`orbit` is the jump-ahead used to split a linear recurrence into
-streams: it places an anchor every B states by applying M^B (from
-`power`, by repeated squaring) one word at a time, then advances all
-anchors together for B steps as numpy arrays, so the Python loop runs
-about n / B + B times instead of n.  A linear map applies as one table
-lookup per byte of the word: table j holds M applied to every byte
-value shifted to bit 8j.
+`orbit` computes a run of the map by recursive doubling (Kogge and
+Stone, IEEE Trans. Computers C-22, 1973): once the first L words are
+known, M^L (from `compose`) maps them onto the next L as one numpy
+array, so each word is computed once in about log2(n) rounds.  A linear
+map applies as one table lookup per byte of the word: table j holds M
+applied to every byte value shifted to bit 8j.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from math import isqrt
 
 import numpy as np
 
@@ -81,29 +79,17 @@ class AffineMap:
             raise ValueError(f"need n >= 0 steps, got n={n}")
         if not 0 <= w < 1 << self.k:
             raise ValueError(f"word {w:#x} does not fit in {self.k} bits")
-        count = n + 1
-        block = _block_length(count)
-        # anchors: every block-th word, one Python jump of M^block each
-        jump = self.power(block)
-        shifts = range(0, self.k, 8)
-        tables = jump._tables().tolist()
-        anchors = [w]
-        for _ in range((count - 1) // block):
-            x = jump.constant
-            for lo, table in zip(shifts, tables):
-                x ^= table[(w >> lo) & 255]
-            w = x
-            anchors.append(w)
-        # row i of out is the block from anchor i; the last one overshoots
-        tables = self._tables()
-        out = np.empty((len(anchors), block), _WORD)
-        state = np.array(anchors, _WORD)
-        out[:, 0] = state
-        for s in range(1, block):
-            state = _linear(tables, state)
-            state ^= self.constant
-            out[:, s] = state
-        return out.ravel()[:count].tolist()
+        out = np.empty(n + 1, _WORD)
+        out[0] = w
+        done, jump = 1, self  # jump is this map applied done times
+        while done <= n:
+            todo = min(done, n + 1 - done)
+            block = _linear(jump._tables(), out[:todo])
+            block ^= jump.constant
+            out[done : done + todo] = block
+            done += todo
+            jump = jump.compose(jump)
+        return out.tolist()
 
     def _tables(self) -> np.ndarray:
         """Row j, entry x: M applied to x << 8j, one row per byte of a word."""
@@ -125,12 +111,3 @@ def _linear(tables: np.ndarray, words: np.ndarray) -> np.ndarray:
         out ^= tables[j].take(octets[:, j])
     return out
 
-
-def _block_length(count: int) -> int:
-    """States per anchor for an orbit of count words.
-
-    The orbit makes about count / B Python jumps and B - 1 array steps.
-    A jump costs about a tenth of an array step's fixed numpy dispatch
-    cost, so the two loops balance near B = sqrt(count / 10).
-    """
-    return max(1, isqrt(count) // 4)

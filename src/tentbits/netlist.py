@@ -23,8 +23,8 @@ them or the load select.  So a run cycle is exactly the affine map
 w -> M.w ^ c, where c is the probe from zero and column j of M is the
 probe from bit j less c.  `run` reads that map off the probes with
 `gf2.AffineMap.from_probe` and returns its orbit from the loaded word;
-the orbit jumps ahead to anchors and advances them in blocks (see gf2),
-so no further gate-level clock is needed.
+the orbit doubles the known run with powers of the map (see gf2), so no
+further gate-level clock is needed.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ def element_stats(netlist: Netlist) -> ElementStats:
     return ElementStats(counts=dict(counts), total=len(netlist.elements))
 
 
-def validate_structure(netlist: Netlist) -> None:
+def validate_structure(netlist: Netlist) -> list[Element]:
     """Check the structural invariants every simulatable netlist needs.
 
     There is exactly one multiplexer; each net has at most one driver;
@@ -170,6 +170,7 @@ def validate_structure(netlist: Netlist) -> None:
     zero), and every undriven net is one; the combinational subgraph is
     acyclic, i.e. every feedback loop crosses a flip-flop; and the
     flip-flop count and the multiplexer's width match the declared width.
+    Returns the combinational elements in evaluation order (_topo_order).
     """
     externals = netlist.external_nets
     drivers: dict[str, str] = {}
@@ -195,7 +196,7 @@ def validate_structure(netlist: Netlist) -> None:
         raise StructuralError(
             f"MUX {mux.id} drives {len(mux.outputs)} nets for a {k}-bit register"
         )
-    _topo_order(netlist)
+    return _topo_order(netlist)
 
 
 def _topo_order(netlist: Netlist) -> list[Element]:
@@ -268,8 +269,7 @@ def run(netlist: Netlist, seed: int, n: int) -> list[int]:
     if n < 1:
         raise ValueError(f"need at least one cycle, got n={n}")
     seed = check_word(seed, netlist.width)
-    validate_structure(netlist)
-    order = _topo_order(netlist)
+    order = validate_structure(netlist)
     k = netlist.width.k
     loaded = _clock(netlist, order, 0, seed, 1)
     cycle = AffineMap.from_probe(lambda w: _clock(netlist, order, w, seed, 0), k)

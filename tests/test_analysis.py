@@ -22,7 +22,6 @@ from tentbits.analysis import (
     cycle_table,
     first_return_pairs,
     histogram,
-    lyapunov_direct,
     lyapunov_rosenstein,
     shannon_entropy,
     write_autocorrelation_csv,
@@ -60,12 +59,6 @@ def exact_tent_trajectory(n, numerator=271828182845904523, denominator=100000000
         x = tent_exact(x)
         out[i] = float(x)
     return out
-
-
-class TestLyapunovDirect:
-    def test_analytic_value(self):
-        assert lyapunov_direct() == pytest.approx(0.6931, abs=5e-5)
-        assert lyapunov_direct() == LN2
 
 
 class TestShannonEntropy:
@@ -400,6 +393,14 @@ class TestLyapunovRosenstein:
     def test_constant_series_rejected(self):
         with pytest.raises(EstimationError):
             lyapunov_rosenstein(np.full(2000, 0.25))
+
+    @pytest.mark.parametrize("delay", (999, 1000, 5000))
+    def test_embedding_longer_than_series_rejected(self, delay):
+        # fewer than two embedded points: the cause is the embedding, not
+        # a constant series
+        series = np.random.default_rng(7).random(1000)
+        with pytest.raises(EstimationError, match="need at least .* samples, got 1000"):
+            lyapunov_rosenstein(series, delay=delay)
 
     def test_bad_fit_range_rejected(self):
         series = exact_tent_trajectory(2000)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -218,6 +219,13 @@ class TestAnalyze:
         report = json.loads((tmp_path / "report.json").read_text())
         # the decoded series carries a structural spike at lag k-2
         assert report["tests"][0]["value"] > 0.05
+
+    def test_lyapunov_reports_analytic_ln2(self, tmp_path, capsys):
+        code = main(["analyze", "--bits", "16", "--seed", "0x5A3C", "--n", "4096",
+                     "--tests", "lyapunov", "--out-dir", str(tmp_path)])
+        assert code == EXIT_OK
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["tests"][0]["details"]["analytic"] == math.log(2)
 
     def test_failing_test_gets_error_entry(self, tmp_path, capsys):
         code = main(["analyze", "--bits", "16", "--seed", "0x5A3C", "--n", "500",

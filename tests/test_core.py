@@ -23,7 +23,6 @@ from tentbits.core import (
     is_degenerate_seed,
     iterate,
     output_array,
-    output_bit,
     output_stream,
     perturbation_bit,
     step,
@@ -52,10 +51,6 @@ class TestBitWidth:
             BitWidth(1)
         with pytest.raises(ValueError):
             BitWidth(65)
-
-    def test_ulp(self):
-        assert BitWidth(8).ulp == 1 / 255
-        assert BitWidth(8).ulp_exact() == Fraction(1, 255)
 
     def test_stored_max_word_keeps_value_semantics(self):
         assert repr(BitWidth(8)) == "BitWidth(k=8)"
@@ -319,16 +314,16 @@ class TestTentExact:
 
 class TestOutputBits:
     def test_msb_tap(self):
-        assert output_bit(0b10000000, 8) == 1
-        assert output_bit(0b01111111, 8) == 0
+        words = [0b10000000, 0b01111111]
+        assert output_stream(words, 8) == [(w >> 7) & 1 for w in words] == [1, 0]
 
     def test_lsb_tap(self):
-        assert output_bit(0b00000001, 8, tap="lsb") == 1
-        assert output_bit(0b11111110, 8, tap="lsb") == 0
+        words = [0b00000001, 0b11111110]
+        assert output_stream(words, 8, tap="lsb") == [w & 1 for w in words] == [1, 0]
 
     def test_unknown_tap(self):
         with pytest.raises(ValueError):
-            output_bit(1, 8, tap="middle")
+            output_array([1], 8, tap="middle")
 
     def test_unknown_tap_rejected_on_empty_stream(self):
         with pytest.raises(ValueError, match="unknown tap 'middle'"):
@@ -341,7 +336,10 @@ class TestOutputBits:
     @pytest.mark.parametrize("tap", ("msb", "lsb"))
     def test_bit_is_one_word_stream(self, tap):
         words = list(range(32))
-        assert [output_bit(w, 5, tap) for w in words] == output_stream(words, 5, tap)
+        shift = 4 if tap == "msb" else 0
+        expected = [(w >> shift) & 1 for w in words]
+        assert [output_stream([w], 5, tap)[0] for w in words] == expected
+        assert output_stream(words, 5, tap) == expected
 
     def test_stream(self):
         assert output_stream([0b1000, 0b0111], 4) == [1, 0]

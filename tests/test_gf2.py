@@ -1,4 +1,4 @@
-"""GF(2) affine maps: probing, composition, powers and block-wise orbits."""
+"""GF(2) affine maps: probing, composition, powers and doubling orbits."""
 
 import random
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tentbits.gf2 import AffineMap, _block_length
+from tentbits.gf2 import AffineMap
 
 
 def _apply(m, w):
@@ -35,22 +35,13 @@ def _random_map(k, rnd):
     )
 
 
-def _edge_steps():
-    """Step counts n whose n + 1 words end a block exactly, one word past
-    it, or one word short, plus n + 1 prime and the smallest n."""
-    steps = {1, 2, 10006}  # 10007 is prime
-    for target in (1000, 10_000):
-        found = set()
-        for count in range(target, 2 * target):
-            residue = count % _block_length(count)
-            kind = {0: "full", 1: "one over"}.get(residue)
-            if residue == _block_length(count) - 1:
-                kind = "one short"
-            if kind and kind not in found:
-                found.add(kind)
-                steps.add(count - 1)
-        assert found == {"full", "one over", "one short"}
-    return sorted(steps)
+# n + 1 words just below, at and just above a power of two: the last
+# doubling round is one word short of full, full, or a single word.  The
+# other lengths end a round part way; 10 007 words is a prime count.
+EDGE_STEPS = sorted(
+    {1, 2, 999, 1000, 1001, 9999, 10000, 10006, 10023}
+    | {(1 << j) + d for j in (10, 13) for d in (-2, -1, 0)}
+)
 
 
 class TestAffineMap:
@@ -104,7 +95,7 @@ class TestAffineMap:
 class TestOrbit:
     @pytest.mark.parametrize("k", (5, 64))
     def test_every_short_orbit(self, k):
-        # block lengths 1 to 4 with every end-of-block residue
+        # lengths 1 to 301: a last doubling round of every size up to 128
         m = _random_map(k, random.Random(k))
         w = (1 << k) - 1
         reference = _sequential(m, w, 300)
@@ -112,7 +103,7 @@ class TestOrbit:
             assert m.orbit(w, n) == reference[: n + 1]
 
     @pytest.mark.parametrize("k", (13, 64))
-    @pytest.mark.parametrize("n", _edge_steps())
+    @pytest.mark.parametrize("n", EDGE_STEPS)
     def test_block_edges(self, k, n):
         rnd = random.Random(n)
         m = _random_map(k, rnd)
