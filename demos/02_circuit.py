@@ -32,7 +32,7 @@ assert export_text(rebuilt) == text
 
 # gate-level simulation reproduces the word model bit for bit
 seed, steps = 0xB7, 500
-gate_words = run(build_tent_netlist(8), seed, steps)
+gate_words = run(build_tent_netlist(8), seed, steps).tolist()  # a uint64 array
 word_words = iterate(MapConfig(width=8), seed, steps)
 assert gate_words == word_words
 print(f"gate-level run of {steps} cycles matches the word model "

@@ -94,9 +94,10 @@ def _warn_degenerate(spec: RunSpec) -> None:
         )
 
 
-def _trajectory(spec: RunSpec, circuit: nl.Netlist | None = None) -> list[int]:
-    """The spec's trajectory; the netlist backend clocks `circuit`, built
-    from the spec when not given."""
+def _trajectory(spec: RunSpec, circuit: nl.Netlist | None = None):
+    """The spec's trajectory: a list of ints from the word model, or the
+    uint64 array that netlist.run returns for the netlist backend, which
+    clocks `circuit`, built from the spec when not given."""
     if spec.backend == "netlist":
         if circuit is None:
             circuit = nl.build_tent_netlist(spec.width, perturbed=spec.perturbed)
@@ -105,16 +106,16 @@ def _trajectory(spec: RunSpec, circuit: nl.Netlist | None = None) -> list[int]:
     return core.iterate(config, spec.seed, spec.n)
 
 
-def _write_trajectory(words: list[int], spec: RunSpec, out: str) -> None:
+def _write_trajectory(words, spec: RunSpec, out: str) -> None:
     digits = spec.width.hex_digits
     if spec.fmt == "hex":
-        array = np.array(words, dtype=np.uint64)
+        array = np.asarray(words, dtype=np.uint64)
         columns.write(out, None, len(words), lambda rows: [
             columns.hexadecimal(array[rows], digits),
         ])
         return
     if spec.fmt == "csv":
-        array = np.array(words, dtype=np.uint64)
+        array = np.asarray(words, dtype=np.uint64)
         values = core.decode_series(words, spec.width)
         columns.write(out, ["index", "word", "value"], len(words), lambda rows: [
             columns.decimal(np.arange(rows.start, rows.stop)),

@@ -181,23 +181,28 @@ def tent_exact(x):
 def _word_array(words, width: BitWidth) -> np.ndarray:
     """The words as a uint64 array, each checked as check_word checks it.
 
-    One pass converts them (operator.index, so a float raises
-    TypeError) and one reduction checks their range.  If either fails,
-    check_word walks the words in order, so the first bad word raises
-    the error it raises on its own.  Words that are not a collection
-    (a generator, say) are read into a list first, so that walk can
-    happen and the array is allocated once at its full size.
+    A uint64 ndarray is used as it is, not copied.  Other words are
+    converted in one pass (operator.index, so a float raises TypeError).
+    One reduction checks the range.  If either fails, check_word walks
+    the words in order, so the first bad word raises the error it raises
+    on its own.  Words that are not a collection (a generator, say) are
+    read into a list first, so that walk can happen and the array is
+    allocated once at its full size.
     """
-    if not isinstance(words, Collection):
-        words = list(words)
-    try:
-        array = np.fromiter(map(operator.index, words), np.uint64, len(words))
-        if array.max(initial=0) > width.max_word:
-            raise ValueError("a word does not fit")
-    except (TypeError, ValueError, OverflowError):
+    if isinstance(words, np.ndarray) and words.dtype == np.uint64:
+        array = words
+    else:
+        if not isinstance(words, Collection):
+            words = list(words)
+        try:
+            array = np.fromiter(map(operator.index, words), np.uint64, len(words))
+        except (TypeError, ValueError, OverflowError):
+            for w in words:
+                check_word(w, width)
+            raise
+    if array.max(initial=0) > width.max_word:
         for w in words:
             check_word(w, width)
-        raise
     return array
 
 
@@ -206,7 +211,8 @@ def output_array(words, width: BitWidth | int, tap: str = "msb") -> np.ndarray:
 
     The default tap is the most significant bit (the branch-decision
     bit of the map); `lsb` taps the freshly injected serial bit instead.
-    The words are checked once, in one pass over them all.
+    The words, a sequence of ints or a uint64 array (left unchanged),
+    are checked once, in one pass over them all.
     """
     width = as_width(width)
     if tap == "msb":
@@ -215,10 +221,13 @@ def output_array(words, width: BitWidth | int, tap: str = "msb") -> np.ndarray:
         shift = 0
     else:
         raise ValueError(f"unknown tap {tap!r}, expected 'msb' or 'lsb'")
-    bits = _word_array(words, width)
-    bits >>= shift
+    array = _word_array(words, width)
+    # shifted straight into the result: the words are not written to, and
+    # no second uint64 array is made; the unsafe cast keeps the low byte
+    bits = np.empty(len(array), np.uint8)
+    np.right_shift(array, shift, out=bits, casting="unsafe")
     bits &= 1
-    return bits.astype(np.uint8)
+    return bits
 
 
 def output_stream(words, width: BitWidth | int, tap: str = "msb") -> list[int]:
@@ -232,9 +241,10 @@ def output_stream(words, width: BitWidth | int, tap: str = "msb") -> list[int]:
 def decode_series(words, width: BitWidth | int) -> list[float]:
     """Decoded values for a word sequence.
 
-    The words are checked once, in one pass over them all.  Each value
-    is then the exact Python w / (2**k - 1): a float64 division of the
-    words would round twice above 53 bits.
+    The words, a sequence of ints or a uint64 array, are checked once,
+    in one pass over them all.  Each value is then the exact Python
+    w / (2**k - 1): a float64 division of the words would round twice
+    above 53 bits.
     """
     width = as_width(width)
     m = width.max_word

@@ -5,12 +5,13 @@ image of the one-bit word 1 << j) and the constant c.  A clock function
 that is affine, such as a run cycle of the register circuit, is read
 off k + 1 calls by `AffineMap.from_probe`.
 
-`orbit` computes a run of the map by recursive doubling (Kogge and
-Stone, IEEE Trans. Computers C-22, 1973): once the first L words are
-known, M^L (from `compose`) maps them onto the next L as one numpy
-array, so each word is computed once in about log2(n) rounds.  A linear
-map applies as one table lookup per byte of the word: table j holds M
-applied to every byte value shifted to bit 8j.
+`orbit_array` computes a run of the map by recursive doubling (Kogge
+and Stone, IEEE Trans. Computers C-22, 1973): once the first L words
+are known, M^L maps them onto the next L as one numpy array, so each
+word is computed once in about log2(n) rounds.  A linear map applies as
+one table lookup per byte of the word: table j holds M applied to every
+byte value shifted to bit 8j.  Each round builds the tables of M^L once
+and uses them both for its block and to square M^L for the next round.
 """
 
 from __future__ import annotations
@@ -53,10 +54,14 @@ class AffineMap:
 
     def compose(self, other: AffineMap) -> AffineMap:
         """The map w -> self(other(w)): other is applied first."""
+        return self._compose(self._tables(), other)
+
+    def _compose(self, tables: np.ndarray, other: AffineMap) -> AffineMap:
+        """compose, given this map's _tables()."""
         if other.k != self.k:
             raise ValueError(f"cannot compose k={self.k} with k={other.k}")
         words = np.array([*other.columns, other.constant], _WORD)
-        image = _linear(self._tables(), words).tolist()
+        image = _linear(tables, words).tolist()
         return AffineMap(self.k, tuple(image[:-1]), image[-1] ^ self.constant)
 
     def power(self, n: int) -> AffineMap:
@@ -75,6 +80,10 @@ class AffineMap:
 
     def orbit(self, w: int, n: int) -> list[int]:
         """The n + 1 words w, f(w), ..., f^n(w), with f this map."""
+        return self.orbit_array(w, n).tolist()
+
+    def orbit_array(self, w: int, n: int) -> np.ndarray:
+        """orbit as a '<u8' array of n + 1 words, by recursive doubling."""
         if n < 0:
             raise ValueError(f"need n >= 0 steps, got n={n}")
         if not 0 <= w < 1 << self.k:
@@ -83,13 +92,15 @@ class AffineMap:
         out[0] = w
         done, jump = 1, self  # jump is this map applied done times
         while done <= n:
+            tables = jump._tables()
             todo = min(done, n + 1 - done)
-            block = _linear(jump._tables(), out[:todo])
+            block = _linear(tables, out[:todo])
             block ^= jump.constant
             out[done : done + todo] = block
             done += todo
-            jump = jump.compose(jump)
-        return out.tolist()
+            if done <= n:
+                jump = jump._compose(tables, jump)
+        return out
 
     def _tables(self) -> np.ndarray:
         """Row j, entry x: M applied to x << 8j, one row per byte of a word."""

@@ -10,27 +10,33 @@ The circuit wraps a bank of k D flip-flops holding the state word:
   external seed (load mode) and the next-state logic (run mode).
 
 That is k XOR gates, k flip-flops and one multiplexer: 2k + 1 elements.
-`_clock` is the gate-level semantics of one clock edge: combinational
-nets settle in topological order, then all flip-flops latch at once.
+`_clock_lanes` is the gate-level semantics of one clock edge, in many
+lanes at once (bit-parallel, or parallel-pattern, simulation): each net
+carries an int whose bit p is its value in lane p, so an XOR gate is `^`
+and the multiplexer is `b ^ (sel & (a ^ b))`.  Combinational nets settle
+in topological order, then all flip-flops latch at once.  `_clock` is
+its one-lane case.
 
-`run` is the one simulation entry point.  It clocks the gates k + 2
-times: once to load the seed through the multiplexer, then k + 1 probes
-of a run cycle, from the zero word and from each one-bit word.  With the
-load select low every element is linear over GF(2) (XOR gates, the
-multiplexer passing its run side, flip-flops), and the seed and zero
-nets are constants; validate_structure makes sure no element drives
-them or the load select.  So a run cycle is exactly the affine map
-w -> M.w ^ c, where c is the probe from zero and column j of M is the
-probe from bit j less c.  `run` reads that map off the probes with
-`gf2.AffineMap.from_probe` and returns its orbit from the loaded word;
-the orbit doubles the known run with powers of the map (see gf2), so no
-further gate-level clock is needed.
+`run` is the one simulation entry point.  One pass of the gates in k + 2
+lanes loads the seed through the multiplexer (lane 0) and probes a run
+cycle from the zero word (lane 1) and from each one-bit word 1 << j
+(lane 2 + j).  With the load select low every element is linear over
+GF(2) (XOR gates, the multiplexer passing its run side, flip-flops),
+and the seed and zero nets are constants; validate_structure makes sure
+no element drives them or the load select.  So a run cycle is exactly
+the affine map w -> M.w ^ c, where c is the probe from zero and column
+j of M is the probe from bit j less c.  `run` returns that map's orbit
+from the loaded word as a uint64 array; the orbit doubles the known run
+with powers of the map (see gf2), so no further gate-level clock is
+needed.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .core import BitWidth, as_width, check_word
 from .gf2 import AffineMap
@@ -222,58 +228,97 @@ def _topo_order(netlist: Netlist) -> list[Element]:
     return order
 
 
-def _clock(
-    netlist: Netlist, order: list[Element], state: int, seed: int, load: int
-) -> int:
-    """One clock edge at gate level; returns the word the flip-flops latch.
+def _clock_lanes(
+    netlist: Netlist, order: list[Element], states: list[int], seed: int, load: int
+) -> list[int]:
+    """One clock edge at gate level in len(states) lanes at once.
 
-    The seed nets carry the bits of `seed` and the flip-flop outputs the
-    bits of `state`, most significant first in flip-flop order; the zero
-    nets carry 0 and the load select carries `load`.  The combinational
-    elements settle in `order` (see _topo_order), then every flip-flop
-    latches its input.
+    Lane p starts with the flip-flops holding states[p] and the load
+    select at bit p of `load`; every lane sees the seed nets carry the
+    bits of `seed` and the zero nets carry 0.  Words are read most
+    significant bit first in flip-flop order.  The combinational elements
+    settle in `order` (see _topo_order), then every flip-flop latches
+    its input; returns the latched word of each lane.
     """
     dffs = netlist.dffs()
     k = len(dffs)
-    nets = {}
+    everywhere = (1 << len(states)) - 1
+    nets = dict.fromkeys(netlist.zero_nets, 0)
     for i, net in enumerate(netlist.seed_inputs):
-        nets[net] = (seed >> (k - 1 - i)) & 1
-    nets.update(dict.fromkeys(netlist.zero_nets, 0))
+        nets[net] = everywhere if (seed >> (k - 1 - i)) & 1 else 0
+    # mask i holds bit i of every lane's word, bit 0 the least significant
+    masks = _transpose(states, k)
     for i, ff in enumerate(dffs):
-        nets[ff.outputs[0]] = (state >> (k - 1 - i)) & 1
+        nets[ff.outputs[0]] = masks[k - 1 - i]
     nets[netlist.load_select] = load
     for el in order:
         if el.kind == XOR2:
             a, b = el.inputs
             nets[el.outputs[0]] = nets[a] ^ nets[b]
-        else:  # MUX; DFFs are not in the order
+        else:  # MUX, seed side a when the select is 1; DFFs are not in the order
+            sel = nets[el.inputs[0]]
             half = len(el.outputs)
-            side = 1 if nets[el.inputs[0]] else 1 + half
             for j, out in enumerate(el.outputs):
-                nets[out] = nets[el.inputs[side + j]]
-    word = 0
-    for ff in dffs:
-        word = (word << 1) | nets[ff.inputs[0]]
-    return word
+                a, b = nets[el.inputs[1 + j]], nets[el.inputs[1 + half + j]]
+                nets[out] = b ^ (sel & (a ^ b))
+    latched = [nets[ff.inputs[0]] for ff in reversed(dffs)]
+    return _transpose(latched, len(states))
 
 
-def run(netlist: Netlist, seed: int, n: int) -> list[int]:
+def _transpose(rows: list[int], n: int) -> list[int]:
+    """The bit-matrix transpose: bit r of out[c] is bit c of rows[r], c < n.
+
+    Visits only the set bits, so a sparse matrix (one lane per one-bit
+    probe, or a word of one lane) costs little.
+    """
+    out = [0] * n
+    for r, row in enumerate(rows):
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] |= 1 << r
+            row ^= low
+    return out
+
+
+def _clock(
+    netlist: Netlist, order: list[Element], state: int, seed: int, load: int
+) -> int:
+    """One clock edge from one state with the load select at `load`:
+    the one-lane case of _clock_lanes."""
+    return _clock_lanes(netlist, order, [state], seed, load)[0]
+
+
+def _load_and_cycle(
+    netlist: Netlist, order: list[Element], seed: int
+) -> tuple[int, AffineMap]:
+    """The loaded word and the run cycle's map, from one pass in k + 2 lanes.
+
+    Lane 0 is the load edge from state 0, lane 1 the run edge from state
+    0 (the constant) and lane 2 + j the run edge from 1 << j (column j
+    plus the constant).
+    """
+    k = netlist.width.k
+    states = [0, 0, *(1 << j for j in range(k))]
+    loaded, constant, *images = _clock_lanes(netlist, order, states, seed, load=1)
+    return loaded, AffineMap(k, tuple(x ^ constant for x in images), constant)
+
+
+def run(netlist: Netlist, seed: int, n: int) -> np.ndarray:
     """Load the seed through the multiplexer, then clock n cycles.
 
-    Returns the n + 1 register words; this is the one way to simulate a
-    netlist.  Gate-level clocking gives the load cycle and the affine map
-    of a run cycle (see the module docstring), whose orbit is the rest.
-    Bit-for-bit equal to the word model: run(netlist, w0, n) matches
-    iterate(MapConfig(width), w0, n) for netlists built here.
+    Returns the n + 1 register words as a '<u8' array; this is the one
+    way to simulate a netlist.  One bit-parallel gate pass gives the load
+    cycle and the affine map of a run cycle (see the module docstring),
+    whose orbit is the rest.  Bit-for-bit equal to the word model:
+    run(netlist, w0, n) matches iterate(MapConfig(width), w0, n) for
+    netlists built here.
     """
     if n < 1:
         raise ValueError(f"need at least one cycle, got n={n}")
     seed = check_word(seed, netlist.width)
     order = validate_structure(netlist)
-    k = netlist.width.k
-    loaded = _clock(netlist, order, 0, seed, 1)
-    cycle = AffineMap.from_probe(lambda w: _clock(netlist, order, w, seed, 0), k)
-    return cycle.orbit(loaded, n)
+    loaded, cycle = _load_and_cycle(netlist, order, seed)
+    return cycle.orbit_array(loaded, n)
 
 
 def export_text(netlist: Netlist) -> str:

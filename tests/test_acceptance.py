@@ -92,7 +92,7 @@ def test_criterion_2_model_equivalence(capsys):
     config = MapConfig(width=8)
     mismatches = 0
     for seed in range(256):
-        if run(circuit, seed, 1000) != iterate(config, seed, 1000):
+        if run(circuit, seed, 1000).tolist() != iterate(config, seed, 1000):
             mismatches += 1
     with capsys.disabled():
         check.finish(mismatches == 0)

@@ -442,6 +442,61 @@ class TestWordSeriesChecks:
         assert decode_series(words, k) == [float(Fraction(w, m)) for w in words]
 
 
+# netlist.run hands its words over as a uint64 array; the writers read
+# it as it is and must give what they give for the same words as a list
+ARRAY_SERIES = (output_array, *WORD_SERIES)
+
+
+def _same(a, b):
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+class TestUint64ArrayWords:
+    @pytest.mark.parametrize("k", range(2, 65))
+    def test_array_gives_what_the_list_gives(self, k):
+        top = (1 << k) - 1
+        words = iterate(MapConfig(width=k), 0x9E3779B97F4A7C15 & top, 300)
+        words += [0, top, top >> 1, 1 << (k - 1)]
+        array = np.array(words, dtype=np.uint64)
+        for tap in ("msb", "lsb"):
+            bits = output_array(array, k, tap)
+            assert bits.dtype == np.uint8
+            assert np.array_equal(bits, output_array(words, k, tap))
+            assert output_stream(array, k, tap) == output_stream(words, k, tap)
+        assert decode_series(array, k) == decode_series(words, k)
+        assert array.tolist() == words
+
+    @pytest.mark.parametrize("series", ARRAY_SERIES)
+    @pytest.mark.parametrize("at", (0, 3, 6), ids=("first", "middle", "last"))
+    @pytest.mark.parametrize("k", (2, 8, 63))
+    def test_word_above_max_word(self, series, at, k):
+        words = [1, 2, 3, 0, 1, 2]
+        words.insert(at, 1 << k)
+        words.append(2**64 - 1)  # a later bad word is not the one reported
+        with pytest.raises(ValueError) as from_list:
+            series(words, k)
+        with pytest.raises(ValueError) as from_array:
+            series(np.array(words, dtype=np.uint64), k)
+        message = f"word {1 << k:#x} does not fit in {k} bits"
+        assert str(from_array.value) == str(from_list.value) == message
+
+    @pytest.mark.parametrize("tap", ("msb", "lsb"))
+    def test_output_array_leaves_the_array_alone(self, tap):
+        words = [2**63 + 1, 2**64 - 2, 3, 2**63, 0]
+        array = np.array(words, dtype=np.uint64)
+        bits = output_array(array, 64, tap)
+        assert array.tolist() == words
+        assert bits.tolist() == output_stream(words, 64, tap)
+
+    def test_array_is_read_without_a_copy(self):
+        array = np.arange(256, dtype=np.uint64)
+        assert core._word_array(array, BitWidth(8)) is array
+
+    @pytest.mark.parametrize("series", ARRAY_SERIES)
+    def test_empty_array(self, series):
+        assert _same(series(np.empty(0, np.uint64), 8), series([], 8))
+
+
 class TestDegenerateSeeds:
     def test_flags(self):
         assert is_degenerate_seed(0, 8)

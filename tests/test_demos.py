@@ -1,4 +1,4 @@
-"""Smoke test: every demo script runs to completion."""
+"""Smoke tests: every demo script and the README's Python block run to completion."""
 
 import os
 import subprocess
@@ -27,3 +27,11 @@ def test_demo_runs(script, tmp_path):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_quick_start_runs():
+    # the block's asserts are its claims, so a stale line fails here
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})

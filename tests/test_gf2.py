@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -127,3 +128,39 @@ class TestOrbit:
             m.orbit(-1, 3)
         with pytest.raises(ValueError):
             m.orbit(3, -1)
+
+    @pytest.mark.parametrize("k", (13, 64))
+    def test_orbit_array_is_the_orbit(self, k):
+        rnd = random.Random(k)
+        m = _random_map(k, rnd)
+        w = rnd.getrandbits(k)
+        for n in (0, 1, 2, 1000, 1023, 1024):
+            words = m.orbit_array(w, n)
+            assert words.dtype == np.dtype("<u8")
+            assert words.shape == (n + 1,)
+            assert words.tolist() == _sequential(m, w, n)
+
+    @pytest.mark.parametrize("n", (0, *EDGE_STEPS))
+    def test_one_table_build_per_round(self, n, monkeypatch):
+        # the known run doubles from one word until it holds n + 1, which
+        # takes n.bit_length() rounds; each builds its map's tables once,
+        # for its block and its square, and the last round does not square
+        calls = {"_tables": 0, "_compose": 0}
+
+        def counted(name):
+            method = getattr(AffineMap, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return method(*args)
+
+            monkeypatch.setattr(AffineMap, name, wrapper)
+
+        counted("_tables")
+        counted("_compose")
+        m = _random_map(64, random.Random(n))
+        words = m.orbit_array(1, n)
+        rounds = n.bit_length()
+        assert calls == {"_tables": rounds, "_compose": max(rounds - 1, 0)}
+        monkeypatch.undo()
+        assert words.tolist() == _sequential(m, 1, n)

@@ -1,7 +1,9 @@
 """Circuit-model tests: census, structure, simulation, text round-trip."""
 
+import random
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,9 @@ from tentbits.netlist import (
     Netlist,
     StructuralError,
     _clock,
+    _load_and_cycle,
     _topo_order,
+    _transpose,
     build_tent_netlist,
     element_stats,
     export_text,
@@ -151,20 +155,20 @@ class TestSimulation:
         assert run(build_tent_netlist(8), 0xA5, 1)[0] == 0xA5
 
     def test_single_run_cycle_matches_word_model(self):
-        assert run(build_tent_netlist(8), 64, 1) == [64, 128]
+        assert run(build_tent_netlist(8), 64, 1).tolist() == [64, 128]
 
     def test_run_seven_step_cycle(self):
-        assert run(build_tent_netlist(4), 0b1000, 7) == [8, 14, 3, 6, 13, 5, 11, 8]
+        assert run(build_tent_netlist(4), 0b1000, 7).tolist() == [8, 14, 3, 6, 13, 5, 11, 8]
 
     def test_run_fixed_point(self):
-        assert run(build_tent_netlist(8), 0, 2) == [0, 0, 0]
+        assert run(build_tent_netlist(8), 0, 2).tolist() == [0, 0, 0]
 
     def test_run_upper_branch(self):
-        assert run(build_tent_netlist(8), 192, 1) == [192, 126]
+        assert run(build_tent_netlist(8), 192, 1).tolist() == [192, 126]
 
     def test_run_is_deterministic(self):
         circuit = build_tent_netlist(8)
-        assert run(circuit, 0x5A, 200) == run(circuit, 0x5A, 200)
+        assert np.array_equal(run(circuit, 0x5A, 200), run(circuit, 0x5A, 200))
 
     @given(st.integers(2, 12), st.randoms())
     @settings(max_examples=40, deadline=None)
@@ -172,7 +176,7 @@ class TestSimulation:
         seed = rnd.randrange(1 << k)
         circuit = build_tent_netlist(k)
         config = MapConfig(width=BitWidth(k))
-        assert run(circuit, seed, 50) == iterate(config, seed, 50)
+        assert run(circuit, seed, 50).tolist() == iterate(config, seed, 50)
 
     @pytest.mark.parametrize("perturbed", (True, False))
     @pytest.mark.parametrize("k", range(2, 65))
@@ -181,18 +185,19 @@ class TestSimulation:
         config = MapConfig(width=k, perturbed=perturbed)
         top = 1 << (k - 1)
         for seed in (0, 2 * top - 1, top | 1, 0x9E3779B97F4A7C15 % (2 * top)):
-            assert run(circuit, seed, 200) == iterate(config, seed, 200)
+            assert run(circuit, seed, 200).tolist() == iterate(config, seed, 200)
 
     def test_run_matches_iterate_at_gate_workload_size(self):
         seed = 0x9E3779B97F4A7C15
         n = 1 << 17
-        assert run(build_tent_netlist(64), seed, n) == iterate(MapConfig(64), seed, n)
+        words = run(build_tent_netlist(64), seed, n)
+        assert np.array_equal(words, np.array(iterate(MapConfig(64), seed, n), np.uint64))
 
     @pytest.mark.parametrize("seed", (0, 1, 77, 200, 255))
     def test_unperturbed_run_matches_word_model(self, seed):
         circuit = build_tent_netlist(8, perturbed=False)
         config = MapConfig(width=8, perturbed=False)
-        assert run(circuit, seed, 300) == iterate(config, seed, 300)
+        assert run(circuit, seed, 300).tolist() == iterate(config, seed, 300)
 
     def test_oversized_seed_rejected(self):
         with pytest.raises(ValueError):
@@ -226,7 +231,9 @@ class TestTextFormat:
     def test_round_trip_simulates_identically(self):
         original = build_tent_netlist(6)
         rebuilt = parse_text(export_text(original))
-        assert run(rebuilt, 0b101101 & 0x3F, 100) == run(original, 0b101101 & 0x3F, 100)
+        assert np.array_equal(
+            run(rebuilt, 0b101101 & 0x3F, 100), run(original, 0b101101 & 0x3F, 100)
+        )
 
     @pytest.mark.parametrize("perturbed", (True, False))
     def test_renamed_reordered_netlist_simulates(self, perturbed):
@@ -256,13 +263,13 @@ class TestTextFormat:
         assert circuit.load_select == names["load"]
         config = MapConfig(width=16, perturbed=perturbed)
         for seed in (0, 0xFFFF, 0x8001, 0x5A3C):
-            assert run(circuit, seed, 200) == iterate(config, seed, 200)
+            assert run(circuit, seed, 200).tolist() == iterate(config, seed, 200)
 
     def test_unperturbed_round_trip_keeps_zero_net(self):
         original = build_tent_netlist(5, perturbed=False)
         rebuilt = parse_text(export_text(original))
         assert rebuilt.zero_nets == ("zero",)
-        assert run(rebuilt, 13, 60) == run(original, 13, 60)
+        assert np.array_equal(run(rebuilt, 13, 60), run(original, 13, 60))
 
     def test_missing_header_rejected(self):
         with pytest.raises(StructuralError, match="WIDTH"):
@@ -362,7 +369,7 @@ class TestAffineRun:
             words = [_clock(circuit, order, 0, seed, 1)]
             for _ in range(n):
                 words.append(_clock(circuit, order, words[-1], seed, 0))
-            assert run(circuit, seed, n) == words
+            assert run(circuit, seed, n).tolist() == words
 
     def test_hand_edits_take_effect(self):
         # the edited circuits leave the word model, so the check above is
@@ -371,7 +378,7 @@ class TestAffineRun:
         config = MapConfig(width=9)
         for edits in (("serial",), ("load",), ("cross",)):
             circuit = _hand_edited(9, edits)
-            assert run(circuit, 0x1A5, 60) != iterate(config, 0x1A5, 60)
+            assert run(circuit, 0x1A5, 60).tolist() != iterate(config, 0x1A5, 60)
         circuit = _hand_edited(9, ("serial",))
         order = _topo_order(circuit)
         assert _clock(circuit, order, 0, 0, 0) == 0
@@ -384,3 +391,65 @@ class TestAffineRun:
         maps = [_run_cycle_map(_hand_edited(k, edits), seed) for edits in edit_sets]
         assert maps[0] == AffineMap.from_probe(partial(step, MapConfig(k)), k)
         assert len(set(maps)) == len(edit_sets)
+
+
+def _scalar_load_and_cycle(circuit, order, seed):
+    """The loaded word and the run cycle's map from k + 2 one-lane clocks."""
+    return _clock(circuit, order, 0, seed, 1), _run_cycle_map(circuit, seed)
+
+
+class TestLanePass:
+    """run's one bit-parallel gate pass gives what k + 2 scalar clocks give."""
+
+    @pytest.mark.parametrize("perturbed", (True, False))
+    @pytest.mark.parametrize("k", range(2, 65))
+    def test_lanes_equal_scalar_clocks(self, k, perturbed):
+        circuit = build_tent_netlist(k, perturbed=perturbed)
+        order = _topo_order(circuit)
+        top = (1 << k) - 1
+        for seed in (0, top, top >> 1, 0x9E3779B97F4A7C15 & top):
+            lanes = _load_and_cycle(circuit, order, seed)
+            assert lanes == _scalar_load_and_cycle(circuit, order, seed)
+            assert lanes[0] == seed
+
+    @pytest.mark.parametrize(
+        "edits",
+        [("serial",), ("load",), ("cross",), ("serial", "load", "cross")],
+    )
+    @pytest.mark.parametrize("k", (4, 9, 17))
+    def test_lanes_equal_scalar_clocks_on_hand_edits(self, k, edits):
+        circuit = _hand_edited(k, edits)
+        order = _topo_order(circuit)
+        top = (1 << k) - 1
+        # 0b10 sets seed{k-2}, so the serial edit gives the constant 1
+        for seed in (0, top, 0b10, 0x9E3779B97F4A7C15 & top):
+            lanes = _load_and_cycle(circuit, order, seed)
+            assert lanes == _scalar_load_and_cycle(circuit, order, seed)
+        assert _load_and_cycle(circuit, order, 0b10)[1].constant == (
+            1 if "serial" in edits else 0
+        )
+
+    @pytest.mark.parametrize("perturbed", (True, False))
+    @pytest.mark.parametrize("k", (2, 5, 8, 33, 64))
+    def test_run_is_the_word_array(self, k, perturbed):
+        circuit = build_tent_netlist(k, perturbed=perturbed)
+        config = MapConfig(width=k, perturbed=perturbed)
+        seed = 0x9E3779B97F4A7C15 % (1 << k)
+        for n in (1, 2, 7, 8, 1000):
+            words = run(circuit, seed, n)
+            assert words.dtype == np.dtype("<u8")
+            assert words.shape == (n + 1,)
+            assert np.array_equal(words, np.array(iterate(config, seed, n), np.uint64))
+
+    @pytest.mark.parametrize("n", (1, 3, 8, 64, 66, 70))
+    def test_transpose_is_the_bit_matrix_transpose(self, n):
+        rnd = random.Random(n)
+        for count in (0, 1, 2, 9, 66):
+            rows = [rnd.getrandbits(n) for _ in range(count)]
+            columns = _transpose(rows, n)
+            assert len(columns) == n
+            for c, column in enumerate(columns):
+                for r, row in enumerate(rows):
+                    assert (column >> r) & 1 == (row >> c) & 1
+                assert column >> count == 0
+            assert _transpose(columns, count) == rows
