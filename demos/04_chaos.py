@@ -43,9 +43,10 @@ write_divergence_csv(exact_estimate, "divergence.csv")
 
 # the first-return map traces the tent graph
 words = iterate(MapConfig(width=8), 0x40, 2000)
-pairs = first_return_pairs(decode_series(words, 8))
+series = decode_series(words, 8)
+pairs = first_return_pairs(series)
 worst = max(abs(x_next - tent_exact(x_now)) for x_now, x_next in pairs)
 print(f"\nfirst-return pairs: {len(pairs)}, max distance from the tent graph "
       f"{worst:.6f} (one step of the last place is {1 / 255:.6f})")
-write_return_map_csv(pairs, "return_map.csv")
+write_return_map_csv(series, "return_map.csv")
 print("wrote divergence.csv and return_map.csv")

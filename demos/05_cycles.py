@@ -20,12 +20,14 @@ for k in (4, 6, 8, 10, 12, 14, 16):
 print("\nselected 8-bit orbits:")
 config = MapConfig(width=8)
 for seed in (0x00, 0xFF, 0x01, 0x40, 0x9C):
-    report = cycle_detect(config, seed)
-    print(f"  seed 0x{seed:02X}: transient {report.transient:3d}, "
-          f"period {report.period:3d}, reaches zero: {report.reaches_zero}")
+    transient, period, reaches_zero = cycle_detect(config, seed)
+    print(f"  seed 0x{seed:02X}: transient {transient:3d}, "
+          f"period {period:3d}, reaches zero: {reaches_zero}")
 
 # at 4 bits the whole table fits on screen
 print("\nfull 4-bit table (perturbed):")
-for report in cycle_table(4):
-    print(f"  seed {report.seed:2d} -> transient {report.transient}, "
-          f"period {report.period}")
+table = cycle_table(4)
+for seed, transient, period in zip(
+    table.seed.tolist(), table.transient.tolist(), table.period.tolist()
+):
+    print(f"  seed {seed:2d} -> transient {transient}, period {period}")

@@ -5,14 +5,16 @@ normalized Shannon entropy, autocorrelation, uniformity histogram with
 chi-square, first-return pairs, and the cycle structure of the finite
 state space (per-seed detection plus exhaustive census).  The census
 classifies the successor table of every word with whole-array numpy
-operations.  Every CSV is written column-wise by `columns.write`.
+operations and returns its results as columns, a `CycleTable`.  Every
+CSV is written column-wise by `columns.write`; the return map is
+written from the series itself.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -66,39 +68,17 @@ class HistogramResult:
     chi_square: float
 
 
-@dataclass(frozen=True)
-class CycleReport:
-    """Eventual behavior of one seed: transient steps, then a cycle."""
-
-    seed: int
-    transient: int
-    period: int
-    reaches_zero: bool
-
-
 @dataclass(frozen=True, eq=False)
 class CycleTable:
-    """Cycle reports as columns: row i describes seed[i]."""
+    """Eventual behavior of seeds as columns: row i describes seed[i]."""
 
     seed: np.ndarray
     transient: np.ndarray
     period: np.ndarray
     reaches_zero: np.ndarray
 
-    @classmethod
-    def of(cls, reports) -> CycleTable:
-        """The table whose rows are the given reports, in order."""
-        seed, *rest = zip(*map(astuple, reports))
-        # uint64, so seeds on both sides of 2**63 stay integers
-        return cls(np.array(seed, dtype=np.uint64), *map(np.array, rest))
-
     def __len__(self) -> int:
         return len(self.seed)
-
-    def __iter__(self):
-        columns = (self.seed, self.transient, self.period, self.reaches_zero)
-        for row in zip(*(column.tolist() for column in columns)):
-            yield CycleReport(*row)
 
 
 @dataclass(frozen=True)
@@ -326,8 +306,10 @@ def first_return_pairs(samples) -> np.ndarray:
     return np.column_stack([xs[:-1], xs[1:]])
 
 
-def cycle_detect(config: MapConfig, seed: int) -> CycleReport:
-    """Transient and minimal period of a seed's orbit.
+def cycle_detect(config: MapConfig, seed: int) -> tuple[int, int, bool]:
+    """(transient, period, reaches_zero) of a seed's orbit: the steps
+    before it enters its cycle, the cycle's minimal period, and whether
+    that cycle is the fixed point 0.
 
     Brent's algorithm: constant memory, at most a small multiple of
     transient + period map evaluations.  The state space is finite so
@@ -352,10 +334,7 @@ def cycle_detect(config: MapConfig, seed: int) -> CycleReport:
         tortoise = step(config, tortoise)
         hare = step(config, hare)
         transient += 1
-    reaches_zero = period == 1 and tortoise == 0
-    return CycleReport(
-        seed=seed, transient=transient, period=period, reaches_zero=reaches_zero
-    )
+    return transient, period, period == 1 and tortoise == 0
 
 
 def _least_ahead(succ: np.ndarray) -> np.ndarray:
@@ -465,21 +444,22 @@ def write_divergence_csv(estimate: LyapunovEstimate, path) -> None:
     ])
 
 
-def write_return_map_csv(pairs: np.ndarray, path) -> None:
-    pairs = np.asarray(pairs, dtype=float)
-    x, x_next = pairs[:, 0], pairs[:, 1]
-    if np.array_equal(x[1:].view(np.uint64), x_next[:-1].view(np.uint64)):
-        # consecutive pairs: x_next of a row is x_n of the next, bit for
-        # bit, so one column of values, repr'd once, gives both
-        values = np.append(x, x_next[-1:])
+def write_return_map_csv(samples, path) -> None:
+    """The first-return map of a 1-D series: rows (x[i], x[i+1]).
 
-        def render(rows):
-            text = columns.floats(values[rows.start : rows.stop + 1])
-            return [text[:-1], text[1:]]
-    else:
-        def render(rows):
-            return [columns.floats(x[rows]), columns.floats(x_next[rows])]
-    columns.write(path, ["x_n", "x_next"], len(pairs), render)
+    Each value is repr'd once and serves both of its rows.  Input that
+    is not 1-D, such as the (N-1, 2) array of first_return_pairs, is
+    rejected rather than flattened into wrong rows.
+    """
+    xs = np.asarray(samples, dtype=float)
+    if xs.ndim != 1:
+        raise ValueError(f"return map needs a 1-D series, got shape {xs.shape}")
+
+    def render(rows):
+        text = columns.floats(xs[rows.start : rows.stop + 1])
+        return [text[:-1], text[1:]]
+
+    columns.write(path, ["x_n", "x_next"], max(len(xs) - 1, 0), render)
 
 
 def write_cycle_reports_csv(table: CycleTable, width: BitWidth | int, path) -> None:

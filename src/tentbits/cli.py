@@ -108,22 +108,21 @@ def _trajectory(spec: RunSpec, circuit: nl.Netlist | None = None):
 
 def _write_trajectory(words, spec: RunSpec, out: str) -> None:
     digits = spec.width.hex_digits
+    array = np.asarray(words, dtype=np.uint64)
     if spec.fmt == "hex":
-        array = np.asarray(words, dtype=np.uint64)
-        columns.write(out, None, len(words), lambda rows: [
+        columns.write(out, None, len(array), lambda rows: [
             columns.hexadecimal(array[rows], digits),
         ])
         return
     if spec.fmt == "csv":
-        array = np.asarray(words, dtype=np.uint64)
-        values = core.decode_series(words, spec.width)
-        columns.write(out, ["index", "word", "value"], len(words), lambda rows: [
+        values = core.decode_series(array, spec.width)
+        columns.write(out, ["index", "word", "value"], len(array), lambda rows: [
             columns.decimal(np.arange(rows.start, rows.stop)),
             columns.hexadecimal(array[rows], digits, prefix=b"0x"),
             columns.floats(values[rows]),
         ])
         return
-    bits = core.output_array(words, spec.width, spec.tap)
+    bits = core.output_array(array, spec.width, spec.tap)
     if spec.fmt == "raw":
         # high bits first; the tail byte is zero-padded
         payload = np.packbits(bits).tobytes()
@@ -132,14 +131,9 @@ def _write_trajectory(words, spec: RunSpec, out: str) -> None:
         else:
             Path(out).write_bytes(payload)
         return
-    # bits: one ASCII "0\n" or "1\n" per bit
+    # bits: one ASCII "0" or "1" per line
     bits += ord("0")
-    lines = np.column_stack((bits, np.full_like(bits, ord("\n"))))
-    text = lines.tobytes().decode("ascii")
-    if out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+    columns.write(out, None, len(bits), lambda rows: [bits[rows, None]])
 
 
 def cmd_gen(args, circuit: nl.Netlist | None = None) -> int:
@@ -151,6 +145,8 @@ def cmd_gen(args, circuit: nl.Netlist | None = None) -> int:
 
 
 def cmd_netlist(args) -> int:
+    if args.stats + args.export + args.simulate != 1:
+        raise ValueError("choose one of --stats, --export, --simulate")
     width = core.BitWidth(args.bits)
     perturbed = args.variant == "perturbed"
     circuit = nl.build_tent_netlist(width, perturbed=perturbed)
@@ -164,11 +160,9 @@ def cmd_netlist(args) -> int:
         else:
             Path(args.out).write_text(text)
         return EXIT_OK
-    if args.simulate:
-        if args.seed is None or args.n is None:
-            raise ValueError("--simulate needs --seed and --n")
-        return cmd_gen(args, circuit)
-    raise ValueError("choose one of --stats, --export, --simulate")
+    if args.seed is None or args.n is None:
+        raise ValueError("--simulate needs --seed and --n")
+    return cmd_gen(args, circuit)
 
 
 def _analyze_entropy(spec: RunSpec, bits, values, out_dir: Path, args) -> dict:
@@ -235,7 +229,7 @@ def _analyze_histogram(spec: RunSpec, bits, values, out_dir: Path, args) -> dict
 
 def _analyze_return_map(spec: RunSpec, bits, values, out_dir: Path, args) -> dict:
     pairs = analysis.first_return_pairs(values)
-    analysis.write_return_map_csv(pairs, out_dir / "return_map.csv")
+    analysis.write_return_map_csv(values, out_dir / "return_map.csv")
     # core.tent_exact on floats: same branches, same rounding
     x, x_next = pairs[:, 0], pairs[:, 1]
     deviation = np.abs(x_next - np.where(x < 0.5, 2 * x, 2 * (1 - x))).max()
@@ -305,21 +299,22 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_cycles(args) -> int:
+    if (args.seed is not None) == args.exhaustive:
+        raise ValueError("pass one of --seed WORD and --exhaustive")
     width = core.BitWidth(args.bits)
     perturbed = args.variant == "perturbed"
     if args.seed is not None:
         seed, _ = _parse_seed(args.seed, width)
         config = core.MapConfig(width=width, perturbed=perturbed)
-        table = analysis.CycleTable.of([analysis.cycle_detect(config, seed)])
-    elif args.exhaustive:
+        row = (seed, *analysis.cycle_detect(config, seed))
+        table = analysis.CycleTable(*(np.array([value]) for value in row))
+    else:
         if width.k > analysis.CYCLE_ENUM_MAX_WIDTH:
             raise ValueError(
                 f"exhaustive census is limited to {analysis.CYCLE_ENUM_MAX_WIDTH} bits; "
                 "pass --seed for a single orbit"
             )
         table = analysis.cycle_table(width, perturbed)
-    else:
-        raise ValueError("pass --seed WORD or --exhaustive")
 
     analysis.write_cycle_reports_csv(table, width, args.out)
 

@@ -181,16 +181,21 @@ def tent_exact(x):
 def _word_array(words, width: BitWidth) -> np.ndarray:
     """The words as a uint64 array, each checked as check_word checks it.
 
-    A uint64 ndarray is used as it is, not copied.  Other words are
-    converted in one pass (operator.index, so a float raises TypeError).
-    One reduction checks the range.  If either fails, check_word walks
-    the words in order, so the first bad word raises the error it raises
-    on its own.  Words that are not a collection (a generator, say) are
-    read into a list first, so that walk can happen and the array is
-    allocated once at its full size.
+    An integer ndarray is cast (a uint64 one is used as it is, not
+    copied); a signed one is first checked for a negative word, which
+    the cast would wrap into range.  Other words are converted in one
+    pass (operator.index, so a float raises TypeError).  One reduction
+    checks the range.  If any check fails, check_word walks the words in
+    order, so the first bad word raises the error it raises on its own.
+    Words that are not a collection (a generator, say) are read into a
+    list first, so that walk can happen and the array is allocated once
+    at its full size.
     """
-    if isinstance(words, np.ndarray) and words.dtype == np.uint64:
-        array = words
+    low = 0
+    if isinstance(words, np.ndarray) and words.dtype.kind in "iu":
+        if words.dtype.kind == "i":
+            low = words.min(initial=0)
+        array = words.astype(np.uint64, copy=False)
     else:
         if not isinstance(words, Collection):
             words = list(words)
@@ -200,7 +205,7 @@ def _word_array(words, width: BitWidth) -> np.ndarray:
             for w in words:
                 check_word(w, width)
             raise
-    if array.max(initial=0) > width.max_word:
+    if low < 0 or array.max(initial=0) > width.max_word:
         for w in words:
             check_word(w, width)
     return array
@@ -211,7 +216,7 @@ def output_array(words, width: BitWidth | int, tap: str = "msb") -> np.ndarray:
 
     The default tap is the most significant bit (the branch-decision
     bit of the map); `lsb` taps the freshly injected serial bit instead.
-    The words, a sequence of ints or a uint64 array (left unchanged),
+    The words, a sequence of ints or an integer array (left unchanged),
     are checked once, in one pass over them all.
     """
     width = as_width(width)
@@ -241,7 +246,7 @@ def output_stream(words, width: BitWidth | int, tap: str = "msb") -> list[int]:
 def decode_series(words, width: BitWidth | int) -> list[float]:
     """Decoded values for a word sequence.
 
-    The words, a sequence of ints or a uint64 array, are checked once,
+    The words, a sequence of ints or an integer array, are checked once,
     in one pass over them all.  Each value is then the exact Python
     w / (2**k - 1): a float64 division of the words would round twice
     above 53 bits.

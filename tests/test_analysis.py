@@ -162,19 +162,19 @@ class TestHistogram:
 
 class TestCycleDetect:
     def test_seven_cycle_seed(self):
-        report = cycle_detect(MapConfig(width=4), 0b1000)
-        assert (report.transient, report.period) == (0, 7)
-        assert not report.reaches_zero
+        transient, period, reaches_zero = cycle_detect(MapConfig(width=4), 0b1000)
+        assert (transient, period) == (0, 7)
+        assert not reaches_zero
 
     def test_fixed_point_seed(self):
-        report = cycle_detect(MapConfig(width=8), 0)
-        assert (report.transient, report.period) == (0, 1)
-        assert report.reaches_zero
+        transient, period, reaches_zero = cycle_detect(MapConfig(width=8), 0)
+        assert (transient, period) == (0, 1)
+        assert reaches_zero
 
     def test_one_step_transient(self):
         # 1 -> 3 enters the 7-cycle {8,14,3,6,13,5,11} immediately
-        report = cycle_detect(MapConfig(width=4), 0b0001)
-        assert (report.transient, report.period) == (1, 7)
+        transient, period, _ = cycle_detect(MapConfig(width=4), 0b0001)
+        assert (transient, period) == (1, 7)
 
     @pytest.mark.parametrize("k", range(2, 9))
     @pytest.mark.parametrize("perturbed", (True, False))
@@ -182,36 +182,50 @@ class TestCycleDetect:
         config = MapConfig(width=k, perturbed=perturbed)
         for seed in range(1 << k):
             expected = walk_cycle(config, seed)
-            report = cycle_detect(config, seed)
-            assert (report.transient, report.period) == expected
+            transient, period, _ = cycle_detect(config, seed)
+            assert (transient, period) == expected
 
     def test_unperturbed_interior_fixed_point(self):
         # decode(10)/15 = 2/3 is the tent map's fixed point
-        report = cycle_detect(MapConfig(width=4, perturbed=False), 0b1010)
-        assert (report.transient, report.period) == (0, 1)
-        assert not report.reaches_zero
+        transient, period, reaches_zero = cycle_detect(
+            MapConfig(width=4, perturbed=False), 0b1010
+        )
+        assert (transient, period) == (0, 1)
+        assert not reaches_zero
+
+
+def table_rows(table):
+    """(seed, transient, period, reaches_zero) of each row, as Python values."""
+    return zip(
+        table.seed.tolist(),
+        table.transient.tolist(),
+        table.period.tolist(),
+        table.reaches_zero.tolist(),
+    )
 
 
 class TestCycleTable:
     def test_two_bit_hand_enumeration(self):
         # f: 0->0, 1->3, 2->3, 3->0; every orbit drains into the fixed point
-        reports = {r.seed: r for r in cycle_table(2)}
-        assert (reports[0].transient, reports[0].period) == (0, 1)
-        assert (reports[1].transient, reports[1].period) == (2, 1)
-        assert (reports[2].transient, reports[2].period) == (2, 1)
-        assert (reports[3].transient, reports[3].period) == (1, 1)
-        assert all(r.reaches_zero for r in reports.values())
+        assert list(table_rows(cycle_table(2))) == [
+            (0, 0, 1, True),
+            (1, 2, 1, True),
+            (2, 2, 1, True),
+            (3, 1, 1, True),
+        ]
 
     @pytest.mark.parametrize("k", range(2, 9))
     @pytest.mark.parametrize("perturbed", (True, False))
     def test_matches_cycle_detect(self, k, perturbed):
         config = MapConfig(width=k, perturbed=perturbed)
-        for report in cycle_table(k, perturbed):
-            assert report == cycle_detect(config, report.seed)
+        table = cycle_table(k, perturbed)
+        assert table.seed.tolist() == list(range(1 << k))
+        for seed, *row in table_rows(table):
+            assert tuple(row) == cycle_detect(config, seed)
 
     def test_four_bit_zero_reaching_set(self):
-        zero_seeds = [r.seed for r in cycle_table(4) if r.reaches_zero]
-        assert zero_seeds == [0, 15]
+        table = cycle_table(4)
+        assert table.seed[table.reaches_zero].tolist() == [0, 15]
 
     def test_width_bound(self):
         with pytest.raises(ValueError):
@@ -220,10 +234,11 @@ class TestCycleTable:
     @pytest.mark.parametrize("perturbed", (True, False))
     def test_report_field_invariants(self, perturbed):
         size = 1 << 8
-        for report in cycle_table(8, perturbed):
-            assert report.period >= 1
-            assert report.transient >= 0
-            assert report.transient + report.period <= size
+        table = cycle_table(8, perturbed)
+        assert len(table) == size
+        assert (table.period >= 1).all()
+        assert (table.transient >= 0).all()
+        assert (table.transient + table.period <= size).all()
 
     def test_one_map_step_per_word(self, monkeypatch):
         # the benchmark predicts 2**k core.step calls for a census
@@ -544,12 +559,19 @@ class TestCsvWriters:
 
     def test_return_map_csv(self, tmp_path):
         path = tmp_path / "rm.csv"
-        write_return_map_csv(first_return_pairs([0.2, 0.4, 0.8]), path)
+        write_return_map_csv([0.2, 0.4, 0.8], path)
         assert path.read_text().splitlines() == [
             "x_n,x_next",
             "0.2,0.4",
             "0.4,0.8",
         ]
+
+    def test_return_map_rejects_pairs(self, tmp_path):
+        # the (N-1, 2) pairs, flattened, would give rows of wrong pairs
+        path = tmp_path / "rm.csv"
+        with pytest.raises(ValueError, match="1-D series"):
+            write_return_map_csv(first_return_pairs([0.2, 0.4, 0.8]), path)
+        assert not path.exists()
 
     def test_cycle_reports_csv(self, tmp_path):
         path = tmp_path / "cycles.csv"

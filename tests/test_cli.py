@@ -178,6 +178,27 @@ class TestNetlistCommand:
     def test_no_action_exits_2(self, capsys):
         assert main(["netlist", "--bits", "8"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "modes",
+        [
+            ["--stats", "--export"],
+            ["--stats", "--simulate"],
+            ["--export", "--simulate"],
+            ["--stats", "--export", "--simulate"],
+        ],
+        ids=lambda modes: "+".join(m.lstrip("-") for m in modes),
+    )
+    def test_two_actions_exit_2(self, tmp_path, capsys, modes):
+        argv = ["netlist", "--bits", "8", "--seed", "0x5A", "--n", "4",
+                *modes, "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: choose one of --stats, --export, --simulate"
+        ]
+        assert not (tmp_path / "out").exists()
+
     def test_width_out_of_range_exits_2(self, capsys):
         assert main(["netlist", "--bits", "65", "--stats"]) == EXIT_USAGE
 
@@ -330,6 +351,15 @@ class TestCycles:
 
     def test_requires_mode(self, capsys):
         assert main(["cycles", "--bits", "8"]) == EXIT_USAGE
+
+    def test_seed_and_exhaustive_exit_2(self, capsys):
+        argv = ["cycles", "--bits", "8", "--seed", "0x40", "--exhaustive"]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: pass one of --seed WORD and --exhaustive"
+        ]
 
 
 class TestCompare:

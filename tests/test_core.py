@@ -497,6 +497,35 @@ class TestUint64ArrayWords:
         assert _same(series(np.empty(0, np.uint64), 8), series([], 8))
 
 
+class TestIntegerArrayWords:
+    DTYPES = (np.int8, np.int32, np.int64, np.uint32)
+
+    @pytest.mark.parametrize("k", range(2, 65))
+    def test_array_gives_what_the_list_gives(self, k):
+        top = (1 << k) - 1
+        words = iterate(MapConfig(width=k), 0x9E3779B97F4A7C15 & top, 300)
+        words += [0, top, top >> 1, 1 << (k - 1)]
+        for dtype in self.DTYPES:
+            # masked to what both the width and the dtype hold
+            fit = [w & int(np.iinfo(dtype).max) for w in words]
+            array = np.array(fit, dtype=dtype)
+            for series in ARRAY_SERIES:
+                assert _same(series(array, k), series(fit, k)), (dtype, series)
+            assert array.tolist() == fit
+
+    @pytest.mark.parametrize("series", ARRAY_SERIES)
+    @pytest.mark.parametrize("k", (32, 64))
+    def test_negative_word(self, series, k):
+        # the uint64 cast wraps -1 to 2**64 - 1, which fits at k = 64
+        words = [5, 0, -1, 3, -2]
+        with pytest.raises(ValueError) as from_list:
+            series(words, k)
+        with pytest.raises(ValueError) as from_array:
+            series(np.array(words, dtype=np.int64), k)
+        message = f"word -0x1 does not fit in {k} bits"
+        assert str(from_array.value) == str(from_list.value) == message
+
+
 class TestDegenerateSeeds:
     def test_flags(self):
         assert is_degenerate_seed(0, 8)

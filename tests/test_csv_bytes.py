@@ -1,9 +1,10 @@
-"""Byte oracles for every CSV and hex listing the package writes.
+"""Byte oracles for every CSV and the hex and bits listings the package writes.
 
 The references below are the row-at-a-time writers the column-wise
 `tentbits.columns` replaced: `csv.writer` over Python rows for the
-analysis CSVs, one f-string per word for `gen --format csv|hex`.  Every
-writer must emit exactly their bytes.
+analysis CSVs, one f-string per word for `gen --format csv|hex` and
+one per output bit for `--format bits`.  Every writer must emit
+exactly their bytes.
 """
 
 import csv
@@ -13,12 +14,11 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tentbits import analysis, columns
 from tentbits.analysis import (
-    CycleReport,
     CycleTable,
     LyapunovEstimate,
     autocorrelation,
@@ -29,7 +29,7 @@ from tentbits.analysis import (
     lyapunov_rosenstein,
 )
 from tentbits.cli import EXIT_OK, main
-from tentbits.core import BitWidth, MapConfig, decode_series, iterate
+from tentbits.core import BitWidth, MapConfig, decode_series, iterate, output_stream
 
 
 def reference_csv(path, header, rows) -> None:
@@ -70,6 +70,8 @@ def reference_trajectory(words, k: int, fmt: str) -> bytes:
     digits = BitWidth(k).hex_digits
     if fmt == "hex":
         return "".join(f"{w:0{digits}X}\n" for w in words).encode()
+    if fmt == "bits":
+        return "".join(f"{b}\n" for b in output_stream(words, k)).encode()
     values = decode_series(words, k)
     lines = ["index,word,value"]
     for i, (w, x) in enumerate(zip(words, values)):
@@ -81,6 +83,14 @@ def assert_same_bytes(tmp_path, write, reference, *args):
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     write(*args, got)
     reference(*args, want)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def assert_same_return_map(tmp_path, series):
+    # the writer takes the series, the reference its consecutive pairs
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    analysis.write_return_map_csv(series, got)
+    reference_return_map(first_return_pairs(series) if len(series) > 1 else [], want)
     assert got.read_bytes() == want.read_bytes()
 
 
@@ -104,8 +114,9 @@ class TestCycleReports:
         "k, seed", [(2, 0x3), (12, 0x5A3), (64, 0), (64, (1 << 64) - 1)]
     )
     def test_one_row_seed_table(self, tmp_path, k, seed, perturbed):
-        report = cycle_detect(MapConfig(width=k, perturbed=perturbed), seed)
-        table = CycleTable.of([report])
+        # built as `cycles --seed` builds it: one array per column
+        row = (seed, *cycle_detect(MapConfig(width=k, perturbed=perturbed), seed))
+        table = CycleTable(*(np.array([value]) for value in row))
         assert_same_bytes(
             tmp_path,
             analysis.write_cycle_reports_csv,
@@ -115,9 +126,12 @@ class TestCycleReports:
         )
 
     def test_seeds_straddling_two_to_the_63(self, tmp_path):
-        reports = [CycleReport(5, 0, 1, False), CycleReport((1 << 64) - 1, 1, 1, True)]
-        table = CycleTable.of(reports)
-        assert table.seed.tolist() == [5, (1 << 64) - 1]
+        table = CycleTable(
+            seed=np.array([5, (1 << 64) - 1], dtype=np.uint64),
+            transient=np.array([0, 1]),
+            period=np.array([1, 1]),
+            reaches_zero=np.array([False, True]),
+        )
         assert_same_bytes(
             tmp_path,
             analysis.write_cycle_reports_csv,
@@ -163,41 +177,21 @@ class TestAnalysisCsvs:
         values = decode_series(words, k)
         assert 0.0 in values and 1.0 in values
         for series in (values, values[:2]):
-            assert_same_bytes(
-                tmp_path,
-                analysis.write_return_map_csv,
-                reference_return_map,
-                first_return_pairs(series),
-            )
+            assert_same_return_map(tmp_path, series)
 
     def test_return_map_across_blocks(self, tmp_path):
         # more rows than one block, so x_next of a block's last row is
         # the first value of the next block
         n = columns.BLOCK_ROWS + 10
         values = decode_series(iterate(MapConfig(width=32), 0x12345678, n)[1:], 32)
-        assert_same_bytes(
-            tmp_path,
-            analysis.write_return_map_csv,
-            reference_return_map,
-            first_return_pairs(values),
-        )
+        assert_same_return_map(tmp_path, values)
 
-    @pytest.mark.parametrize(
-        "pairs",
-        [
-            [[0.1, 0.2], [0.3, 0.4]],  # not consecutive
-            [[0.5, 0.0], [-0.0, 1.0]],  # equal under ==, not bit for bit
-            [[0.25, float("nan")], [float("nan"), 0.75]],
-        ],
-        ids=("unchained", "signed-zero", "nan"),
-    )
-    def test_return_map_of_any_pairs(self, tmp_path, pairs):
-        assert_same_bytes(
-            tmp_path,
-            analysis.write_return_map_csv,
-            reference_return_map,
-            np.array(pairs),
-        )
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40))
+    @example([0.5, 0.0, -0.0, 1.0])  # equal under ==, not bit for bit
+    @example([0.25, float("nan"), float("inf"), -float("inf"), 0.75])
+    @example([0.3])
+    def test_return_map_of_any_series(self, tmp_path_factory, series):
+        assert_same_return_map(tmp_path_factory.mktemp("series"), series)
 
     def test_stdout_equals_file(self, tmp_path, capsys):
         values = decode_series(iterate(MapConfig(width=12), 0x5A3, 3000)[1:], 12)
@@ -205,7 +199,7 @@ class TestAnalysisCsvs:
             (analysis.write_histogram_csv, histogram(values, 16)),
             (analysis.write_autocorrelation_csv, autocorrelation(values, 20)),
             (analysis.write_divergence_csv, lyapunov_rosenstein(values)),
-            (analysis.write_return_map_csv, first_return_pairs(values)),
+            (analysis.write_return_map_csv, values),
         ]
         for write, result in cases:
             write(result, tmp_path / "out.csv")
@@ -246,7 +240,7 @@ class TestCliListings:
         m = (1 << k) - 1
         for seed in (0, m, random.Random(k).randrange(1, m)):
             words = iterate(MapConfig(width=k, perturbed=perturbed), seed, 20)
-            for fmt in ("csv", "hex"):
+            for fmt in ("csv", "hex", "bits"):
                 want = reference_trajectory(words, k, fmt)
                 for command in (["gen"], ["netlist", "--simulate"]):
                     argv = [*command, "--bits", str(k), "--seed", hex(seed), "--n", "20",
@@ -256,7 +250,7 @@ class TestCliListings:
                     assert main(argv) == EXIT_OK
                     assert capsysbinary.readouterr().out == want
 
-    @pytest.mark.parametrize("fmt", ("csv", "hex"))
+    @pytest.mark.parametrize("fmt", ("csv", "hex", "bits"))
     def test_gen_across_blocks(self, tmp_path, fmt):
         n = columns.BLOCK_ROWS + 10
         out = tmp_path / "out"
