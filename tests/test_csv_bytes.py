@@ -186,9 +186,18 @@ class TestAnalysisCsvs:
         values = decode_series(iterate(MapConfig(width=32), 0x12345678, n)[1:], 32)
         assert_same_return_map(tmp_path, values)
 
+    @pytest.mark.parametrize(
+        "series",
+        [
+            [0.5, 0.0, -0.0, 1.0],  # equal under ==, not bit for bit
+            [0.25, float("nan"), float("inf"), -float("inf"), 0.75],
+        ],
+        ids=("signed-zero", "nan"),
+    )
+    def test_return_map_of_any_pairs(self, tmp_path, series):
+        assert_same_return_map(tmp_path, series)
+
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40))
-    @example([0.5, 0.0, -0.0, 1.0])  # equal under ==, not bit for bit
-    @example([0.25, float("nan"), float("inf"), -float("inf"), 0.75])
     @example([0.3])
     def test_return_map_of_any_series(self, tmp_path_factory, series):
         assert_same_return_map(tmp_path_factory.mktemp("series"), series)
