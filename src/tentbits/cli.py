@@ -17,7 +17,6 @@ import json
 import math
 import secrets
 import sys
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
@@ -37,140 +36,126 @@ LITERATURE_ROWS = (
     ("Sreenath & Narayanan (2018)", 64, 321),
 )
 
-
-@dataclass(frozen=True)
-class RunSpec:
-    """A resolved generation request; the seed is always explicit here."""
-
-    width: core.BitWidth
-    seed: int
-    n: int
-    perturbed: bool
-    backend: str = "word"
-    fmt: str = "bits"
-    tap: str = "msb"
-
-    @property
-    def seed_hex(self) -> str:
-        return f"0x{self.seed:0{self.width.hex_digits}X}"
+# The run flags with the defaults `gen` gives them; `netlist` leaves
+# each one None unless given.
+RUN_DEFAULTS = {"seed": None, "n": None, "tap": "msb", "format": "bits", "out": "-"}
+# The run flags each netlist mode reads; any other one is a usage error.
+NETLIST_READS = {"stats": (), "export": ("out",), "simulate": tuple(RUN_DEFAULTS)}
 
 
-def _parse_seed(text: str, width: core.BitWidth) -> tuple[int, bool]:
-    """Resolve a seed argument; returns (seed, was_random)."""
-    if text.strip().lower() == "random":
-        return secrets.randbelow(width.max_word + 1), True
-    try:
-        seed = int(text, 0)
-    except ValueError as exc:
-        raise ValueError(f"cannot parse seed {text!r}") from exc
-    return core.check_word(seed, width), False
+def _seed_hex(args) -> str:
+    return f"0x{args.seed:0{args.width.hex_digits}X}"
 
 
-def _resolve_spec(args) -> RunSpec:
-    width = core.BitWidth(args.bits)
-    seed, was_random = _parse_seed(args.seed, width)
-    if args.n < 1:
-        raise ValueError(f"need at least one step, got n={args.n}")
-    spec = RunSpec(
-        width=width,
-        seed=seed,
-        n=args.n,
-        perturbed=args.variant == "perturbed",
-        backend=args.backend,
-        fmt=getattr(args, "format", "bits"),
-        tap=args.tap,
-    )
-    if was_random:
-        print(f"seed: {spec.seed_hex}", file=sys.stderr)
-    return spec
+def _resolve(args) -> None:
+    """Check the shared flags in place: set args.width and args.perturbed
+    and, when there is a seed to run, replace args.seed by its checked
+    word.  A drawn 'random' seed is echoed once n is checked too."""
+    args.width = core.BitWidth(args.bits)
+    args.perturbed = args.variant == "perturbed"
+    n = getattr(args, "n", 1)  # cycles takes no --n
+    if args.seed is None or n is None:
+        return
+    drawn = args.seed.strip().lower() == "random"
+    if drawn:
+        args.seed = secrets.randbelow(args.width.max_word + 1)
+    else:
+        try:
+            seed = int(args.seed, 0)
+        except ValueError as exc:
+            raise ValueError(f"cannot parse seed {args.seed!r}") from exc
+        args.seed = core.check_word(seed, args.width)
+    if n < 1:
+        raise ValueError(f"need at least one step, got n={n}")
+    if drawn:
+        print(f"seed: {_seed_hex(args)}", file=sys.stderr)
 
 
-def _warn_degenerate(spec: RunSpec) -> None:
-    if core.is_degenerate_seed(spec.seed, spec.width):
+def _warn_degenerate(args) -> None:
+    if core.is_degenerate_seed(args.seed, args.width):
         print(
-            f"warning: degenerate seed {spec.seed_hex} sits on the absorbing "
+            f"warning: degenerate seed {_seed_hex(args)} sits on the absorbing "
             "fixed point; the output is constant",
             file=sys.stderr,
         )
 
 
-def _trajectory(spec: RunSpec, circuit: nl.Netlist | None = None):
-    """The spec's trajectory: a list of ints from the word model, or the
-    uint64 array that netlist.run returns for the netlist backend, which
-    clocks `circuit`, built from the spec when not given."""
-    if spec.backend == "netlist":
-        if circuit is None:
-            circuit = nl.build_tent_netlist(spec.width, perturbed=spec.perturbed)
-        return nl.run(circuit, spec.seed, spec.n)
-    config = core.MapConfig(width=spec.width, perturbed=spec.perturbed)
-    return core.iterate(config, spec.seed, spec.n)
+def _trajectory(args) -> np.ndarray:
+    """The run's n + 1 words as a uint64 array, from the circuit for the
+    netlist backend and from the word model otherwise."""
+    if args.backend == "netlist":
+        circuit = nl.build_tent_netlist(args.width, perturbed=args.perturbed)
+        return nl.run(circuit, args.seed, args.n)
+    config = core.MapConfig(width=args.width, perturbed=args.perturbed)
+    return np.array(core.iterate(config, args.seed, args.n), np.uint64)
 
 
-def _write_trajectory(words, spec: RunSpec, out: str) -> None:
-    digits = spec.width.hex_digits
-    array = np.asarray(words, dtype=np.uint64)
-    if spec.fmt == "hex":
-        columns.write(out, None, len(array), lambda rows: [
-            columns.hexadecimal(array[rows], digits),
+def _write_trajectory(words: np.ndarray, args) -> None:
+    digits = args.width.hex_digits
+    if args.format == "hex":
+        columns.write(args.out, None, len(words), lambda rows: [
+            columns.hexadecimal(words[rows], digits),
         ])
         return
-    if spec.fmt == "csv":
-        values = core.decode_series(array, spec.width)
-        columns.write(out, ["index", "word", "value"], len(array), lambda rows: [
+    if args.format == "csv":
+        values = core.decode_series(words, args.width)
+        columns.write(args.out, ["index", "word", "value"], len(words), lambda rows: [
             columns.decimal(np.arange(rows.start, rows.stop)),
-            columns.hexadecimal(array[rows], digits, prefix=b"0x"),
+            columns.hexadecimal(words[rows], digits, prefix=b"0x"),
             columns.floats(values[rows]),
         ])
         return
-    bits = core.output_array(array, spec.width, spec.tap)
-    if spec.fmt == "raw":
+    bits = core.output_array(words, args.width, args.tap)
+    if args.format == "raw":
         # high bits first; the tail byte is zero-padded
         payload = np.packbits(bits).tobytes()
-        if out == "-":
+        if args.out == "-":
             sys.stdout.buffer.write(payload)
         else:
-            Path(out).write_bytes(payload)
+            Path(args.out).write_bytes(payload)
         return
     # bits: one ASCII "0" or "1" per line
     bits += ord("0")
-    columns.write(out, None, len(bits), lambda rows: [bits[rows, None]])
+    columns.write(args.out, None, len(bits), lambda rows: [bits[rows, None]])
 
 
-def cmd_gen(args, circuit: nl.Netlist | None = None) -> int:
-    spec = _resolve_spec(args)
-    _warn_degenerate(spec)
-    words = _trajectory(spec, circuit)
-    _write_trajectory(words, spec, args.out)
+def cmd_gen(args) -> int:
+    _resolve(args)
+    if args.seed is None or args.n is None:  # netlist --simulate may lack them
+        raise ValueError("--simulate needs --seed and --n")
+    _warn_degenerate(args)
+    _write_trajectory(_trajectory(args), args)
     return EXIT_OK
 
 
 def cmd_netlist(args) -> int:
-    if args.stats + args.export + args.simulate != 1:
+    modes = [mode for mode in NETLIST_READS if getattr(args, mode)]
+    if len(modes) != 1:
         raise ValueError("choose one of --stats, --export, --simulate")
-    width = core.BitWidth(args.bits)
-    perturbed = args.variant == "perturbed"
-    circuit = nl.build_tent_netlist(width, perturbed=perturbed)
+    for flag, default in RUN_DEFAULTS.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif flag not in NETLIST_READS[modes[0]]:
+            raise ValueError(f"--{modes[0]} does not take --{flag}")
+    if args.simulate:
+        return cmd_gen(args)
+    _resolve(args)
+    circuit = nl.build_tent_netlist(args.width, perturbed=args.perturbed)
     if args.stats:
         print(nl.element_stats(circuit).describe())
-        return EXIT_OK
-    if args.export:
-        text = nl.export_text(circuit)
-        if args.out == "-":
-            sys.stdout.write(text)
-        else:
-            Path(args.out).write_text(text)
-        return EXIT_OK
-    if args.seed is None or args.n is None:
-        raise ValueError("--simulate needs --seed and --n")
-    return cmd_gen(args, circuit)
+    elif args.out == "-":
+        sys.stdout.write(nl.export_text(circuit))
+    else:
+        Path(args.out).write_text(nl.export_text(circuit))
+    return EXIT_OK
 
 
-def _analyze_entropy(spec: RunSpec, bits, values, out_dir: Path, args) -> dict:
+def _analyze_entropy(bits, values, out_dir: Path, args) -> dict:
     counts = np.bincount(bits, minlength=2).tolist()
     result = analysis.shannon_entropy(counts)
     entry = {
         "test": "entropy",
-        "parameters": {"tap": spec.tap, "symbols": 2, "bits": len(bits)},
+        "parameters": {"tap": args.tap, "symbols": 2, "bits": len(bits)},
         "value": result.h,
         "details": {"bit_counts": counts},
     }
@@ -180,7 +165,7 @@ def _analyze_entropy(spec: RunSpec, bits, values, out_dir: Path, args) -> dict:
     return entry
 
 
-def _analyze_autocorr(spec: RunSpec, bits, values, out_dir: Path, args) -> dict:
+def _analyze_autocorr(bits, values, out_dir: Path, args) -> dict:
     series = bits if args.autocorr_series == "bits" else values
     result = analysis.autocorrelation(series, args.max_lag)
     analysis.write_autocorrelation_csv(result, out_dir / "autocorr.csv")
@@ -194,7 +179,7 @@ def _analyze_autocorr(spec: RunSpec, bits, values, out_dir: Path, args) -> dict:
     }
 
 
-def _analyze_lyapunov(spec: RunSpec, bits, values, out_dir: Path, args) -> dict:
+def _analyze_lyapunov(bits, values, out_dir: Path, args) -> dict:
     params = {"embed_dim": 2, "delay": 1, "theiler_window": 10, "max_steps": 12}
     estimate = analysis.lyapunov_rosenstein(values, **params)
     analysis.write_divergence_csv(estimate, out_dir / "divergence.csv")
@@ -211,7 +196,7 @@ def _analyze_lyapunov(spec: RunSpec, bits, values, out_dir: Path, args) -> dict:
     }
 
 
-def _analyze_histogram(spec: RunSpec, bits, values, out_dir: Path, args) -> dict:
+def _analyze_histogram(bits, values, out_dir: Path, args) -> dict:
     result = analysis.histogram(values, args.bins)
     analysis.write_histogram_csv(result, out_dir / "histogram.csv")
     return {
@@ -227,7 +212,7 @@ def _analyze_histogram(spec: RunSpec, bits, values, out_dir: Path, args) -> dict
     }
 
 
-def _analyze_return_map(spec: RunSpec, bits, values, out_dir: Path, args) -> dict:
+def _analyze_return_map(bits, values, out_dir: Path, args) -> dict:
     pairs = analysis.first_return_pairs(values)
     analysis.write_return_map_csv(values, out_dir / "return_map.csv")
     # core.tent_exact on floats: same branches, same rounding
@@ -253,8 +238,8 @@ ANALYZE_TESTS = {
 
 
 def cmd_analyze(args) -> int:
-    spec = _resolve_spec(args)
-    _warn_degenerate(spec)
+    _resolve(args)
+    _warn_degenerate(args)
     tests = [t.strip() for t in args.tests.split(",") if t.strip()]
     if not tests:
         raise ValueError("no tests selected")
@@ -266,28 +251,27 @@ def cmd_analyze(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    trajectory = _trajectory(spec)
-    words = trajectory[1:]  # n generated states; the seed itself is echoed below
-    bits = core.output_array(words, spec.width, spec.tap)
-    values = core.decode_series(words, spec.width)
+    words = _trajectory(args)[1:]  # n generated states; the seed itself is echoed below
+    bits = core.output_array(words, args.width, args.tap)
+    values = core.decode_series(words, args.width)
 
     entries = []
     failures = 0
     for name in tests:
         try:
-            entry = ANALYZE_TESTS[name](spec, bits, values, out_dir, args)
+            entry = ANALYZE_TESTS[name](bits, values, out_dir, args)
         except (ValueError, analysis.EstimationError) as exc:
             entry = {"test": name, "error": str(exc)}
             failures += 1
         entries.append(entry)
 
     report = {
-        "width": spec.width.k,
-        "seed": spec.seed_hex,
-        "variant": "perturbed" if spec.perturbed else "unperturbed",
-        "backend": spec.backend,
-        "n": spec.n,
-        "tap": spec.tap,
+        "width": args.width.k,
+        "seed": _seed_hex(args),
+        "variant": args.variant,
+        "backend": args.backend,
+        "n": args.n,
+        "tap": args.tap,
         "tests": entries,
     }
     report_path = out_dir / "report.json"
@@ -301,24 +285,22 @@ def cmd_analyze(args) -> int:
 def cmd_cycles(args) -> int:
     if (args.seed is not None) == args.exhaustive:
         raise ValueError("pass one of --seed WORD and --exhaustive")
-    width = core.BitWidth(args.bits)
-    perturbed = args.variant == "perturbed"
+    _resolve(args)
     if args.seed is not None:
-        seed, _ = _parse_seed(args.seed, width)
-        config = core.MapConfig(width=width, perturbed=perturbed)
-        row = (seed, *analysis.cycle_detect(config, seed))
+        config = core.MapConfig(width=args.width, perturbed=args.perturbed)
+        row = (args.seed, *analysis.cycle_detect(config, args.seed))
         table = analysis.CycleTable(*(np.array([value]) for value in row))
     else:
-        if width.k > analysis.CYCLE_ENUM_MAX_WIDTH:
+        if args.width.k > analysis.CYCLE_ENUM_MAX_WIDTH:
             raise ValueError(
                 f"exhaustive census is limited to {analysis.CYCLE_ENUM_MAX_WIDTH} bits; "
                 "pass --seed for a single orbit"
             )
-        table = analysis.cycle_table(width, perturbed)
+        table = analysis.cycle_table(args.width, args.perturbed)
 
-    analysis.write_cycle_reports_csv(table, width, args.out)
+    analysis.write_cycle_reports_csv(table, args.width, args.out)
 
-    census = analysis.CycleCensus.of(table, width, perturbed)
+    census = analysis.CycleCensus.of(table, args.width, args.perturbed)
     summary = [
         f"seeds: {census.seeds}",
         f"mean period: {census.mean_period:.3f}",
@@ -356,50 +338,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_args(p, with_format=True):
+    def add_shared_args(p, run=True, required=True, with_format=True):
+        # not required, each run flag is None unless given
+        default = RUN_DEFAULTS if required else dict.fromkeys(RUN_DEFAULTS)
         p.add_argument("--bits", type=int, required=True, help="register width k")
-        p.add_argument("--seed", required=True, help="seed word (int literal or 'random')")
-        p.add_argument("--n", type=int, required=True, help="number of map steps")
+        if run:
+            p.add_argument("--seed", required=required,
+                           help="seed word (int literal or 'random')")
+            p.add_argument("--n", type=int, required=required, help="number of map steps")
         p.add_argument(
             "--variant",
             choices=("perturbed", "unperturbed"),
             default="perturbed",
             help="serial-bit perturbation on (default) or off",
         )
-        p.add_argument("--tap", choices=("msb", "lsb"), default="msb",
+        if not run:
+            return
+        p.add_argument("--tap", choices=("msb", "lsb"), default=default["tap"],
                        help="which state bit is the binary output (default msb)")
         if with_format:
             p.add_argument(
                 "--format",
                 choices=("bits", "hex", "csv", "raw"),
-                default="bits",
+                default=default["format"],
                 help="output encoding (default bits)",
             )
-            p.add_argument("--out", default="-", help="output path, '-' for stdout")
+            p.add_argument("--out", default=default["out"],
+                           help="output path, '-' for stdout")
 
     p_gen = sub.add_parser("gen", help="generate a trajectory from the word model")
-    add_run_args(p_gen)
+    add_shared_args(p_gen)
     p_gen.set_defaults(func=cmd_gen, backend="word")
 
     p_net = sub.add_parser("netlist", help="inspect or simulate the circuit model")
-    p_net.add_argument("--bits", type=int, required=True)
-    p_net.add_argument("--variant", choices=("perturbed", "unperturbed"),
-                       default="perturbed")
+    add_shared_args(p_net, required=False)
     p_net.add_argument("--stats", action="store_true", help="print the element census")
     p_net.add_argument("--export", action="store_true",
                        help="write the text netlist to --out")
     p_net.add_argument("--simulate", action="store_true",
                        help="run the gate-level simulation (needs --seed/--n)")
-    p_net.add_argument("--seed", default=None)
-    p_net.add_argument("--n", type=int, default=None)
-    p_net.add_argument("--tap", choices=("msb", "lsb"), default="msb")
-    p_net.add_argument("--format", choices=("bits", "hex", "csv", "raw"),
-                       default="bits")
-    p_net.add_argument("--out", default="-")
     p_net.set_defaults(func=cmd_netlist, backend="netlist")
 
     p_ana = sub.add_parser("analyze", help="run randomness/chaos tests")
-    add_run_args(p_ana, with_format=False)
+    add_shared_args(p_ana, with_format=False)
     p_ana.add_argument(
         "--tests",
         default=",".join(ANALYZE_TESTS),
@@ -419,9 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana.set_defaults(func=cmd_analyze)
 
     p_cyc = sub.add_parser("cycles", help="cycle structure of the finite state space")
-    p_cyc.add_argument("--bits", type=int, required=True)
-    p_cyc.add_argument("--variant", choices=("perturbed", "unperturbed"),
-                       default="perturbed")
+    add_shared_args(p_cyc, run=False)
     p_cyc.add_argument("--seed", default=None, help="report a single orbit")
     p_cyc.add_argument("--exhaustive", action="store_true",
                        help="sweep every seed (k <= 20)")

@@ -95,11 +95,26 @@ class TestGen:
         assert out_a.read_bytes() == out_b.read_bytes()
 
     def test_random_seed_is_echoed(self, tmp_path, capsys):
+        # every subcommand that takes a seed echoes the one it drew, and
+        # that seed is the one it ran
         out = tmp_path / "r.csv"
-        code = main(["gen", "--bits", "8", "--seed", "random", "--n", "2",
-                     "--format", "csv", "--out", str(out)])
-        assert code == EXIT_OK
-        assert "seed: 0x" in capsys.readouterr().err
+        for argv in (
+            ["gen", "--format", "csv", "--n", "2", "--out", str(out)],
+            ["netlist", "--simulate", "--format", "csv", "--n", "2", "--out", str(out)],
+            ["analyze", "--n", "64", "--tests", "entropy", "--out-dir", str(tmp_path)],
+            ["cycles", "--out", str(out)],
+        ):
+            code = main([*argv, "--bits", "8", "--seed", "random"])
+            assert code == EXIT_OK, argv
+            err = capsys.readouterr().err.splitlines()
+            assert err[0].startswith("seed: 0x") and len(err[0]) == len("seed: 0x5A"), argv
+            seed = err[0].removeprefix("seed: ")
+            if argv[0] == "analyze":
+                report = json.loads((tmp_path / "report.json").read_text())
+                assert report["seed"] == seed
+            else:
+                first_row = out.read_text().splitlines()[1]
+                assert f",{seed}," in f",{first_row}", argv
 
     def test_bad_width_exits_2(self, capsys):
         assert main(["gen", "--bits", "1", "--seed", "0x0", "--n", "1"]) == EXIT_USAGE
@@ -201,6 +216,30 @@ class TestNetlistCommand:
 
     def test_width_out_of_range_exits_2(self, capsys):
         assert main(["netlist", "--bits", "65", "--stats"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "mode,flag,value",
+        [
+            pytest.param(mode, flag, value, id=f"{mode}-{flag}")
+            for mode, unread in (("stats", ("seed", "n", "tap", "format", "out")),
+                                 ("export", ("seed", "n", "tap", "format")))
+            for flag, value in (("seed", "0x5"), ("n", "3"), ("tap", "msb"),
+                                ("format", "bits"), ("out", "run.txt"))
+            if flag in unread
+        ],
+    )
+    def test_unread_run_flag_exits_2(self, tmp_path, capsys, monkeypatch, mode, flag, value):
+        # a run flag the chosen mode does not read is a usage error, even
+        # at its default value, and nothing is printed or written
+        monkeypatch.chdir(tmp_path)
+        argv = ["netlist", "--bits", "8", f"--{mode}", f"--{flag}", value]
+        if mode == "export":
+            argv += ["--out", "circuit.txt"]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: --{mode} does not take --{flag}"]
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestAnalyze:
@@ -435,6 +474,49 @@ def test_bad_n_with_random_seed_is_one_line_error(argv, capsys):
     captured = capsys.readouterr()
     assert captured.err.splitlines() == ["error: need at least one step, got n=0"]
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,warns",
+    [
+        pytest.param(["gen", "--n", "3"], True, id="gen"),
+        pytest.param(["netlist", "--simulate", "--n", "3"], True, id="netlist"),
+        pytest.param(["analyze", "--n", "64", "--tests", "entropy"], True, id="analyze"),
+        pytest.param(["cycles"], False, id="cycles"),
+    ],
+)
+@pytest.mark.parametrize("seed", ("0x00", "0xFF"))
+def test_degenerate_seed_warning(tmp_path, monkeypatch, capsys, argv, warns, seed):
+    # the runs warn that the output is constant; the cycle report does not
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--bits", "8", "--seed", seed]) == EXIT_OK
+    warning = (f"warning: degenerate seed {seed} sits on the absorbing fixed point; "
+               "the output is constant")
+    assert (warning in capsys.readouterr().err.splitlines()) == warns
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--bits", "1", "--seed", "0x0", "--n", "8"], "width must be in [2, 64], got 1"),
+        (["--bits", "8", "--seed", "pi", "--n", "8"], "cannot parse seed 'pi'"),
+        (["--bits", "8", "--seed", "0x100", "--n", "8"],
+         "word 0x100 does not fit in 8 bits"),
+        (["--bits", "8", "--seed", "0x40", "--n", "0"], "need at least one step, got n=0"),
+    ],
+    ids=("bits", "seed", "oversized-seed", "n"),
+)
+@pytest.mark.parametrize("tests", ("entropy", "spectral"))
+def test_bad_analyze_flag_makes_no_out_dir(tmp_path, capsys, flags, message, tests):
+    # the shared flags are checked before --tests and before the
+    # directory is made
+    out_dir = tmp_path / "report"
+    argv = ["analyze", *flags, "--tests", tests, "--out-dir", str(out_dir)]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert captured.out == ""
+    assert not out_dir.exists()
 
 
 def test_module_entry_point_runs_main():
