@@ -124,6 +124,7 @@ def _nearest_neighbors(points: np.ndarray, theiler_window: int):
     new = np.ones(n, dtype=bool)
     new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     uniq, starts = ordered[new], np.append(np.flatnonzero(new), n)
+    sizes = np.diff(starts)
     n_u = len(uniq)
     if n_u < 2:
         raise EstimationError("constant series has no distinct neighbors")
@@ -143,13 +144,18 @@ def _nearest_neighbors(points: np.ndarray, theiler_window: int):
             d = dist_u[lines[rows], col]
             keep = d <= best_d[rows]
             rows, d = rows[keep], d[keep]
-            # v's earliest index before the window, else its first one after it
+            # v's earliest index outside the window: its first one, unless
+            # that lies inside; then its first one after the window, which
+            # only a value with more than one member can have
             v = idx_u[lines[rows], col]
-            first = members[starts[v]]
-            before = first < rows - w
-            after = np.searchsorted(keys, v * n + rows + w, side="right")
-            j = np.where(before, first, members[np.minimum(after, n - 1)])
-            ok = (d > 0.0) & (before | (after < starts[v + 1]))
+            j = members[starts[v]]
+            ok = np.abs(j - rows) > w
+            inside = np.flatnonzero(~ok & (sizes[v] > 1))
+            vi = v[inside]
+            after = np.searchsorted(keys, vi * n + rows[inside] + w, side="right")
+            ok[inside] = after < starts[vi + 1]
+            j[inside] = members[np.minimum(after, n - 1)]
+            ok &= d > 0.0
             better = ok & ((d < best_d[rows]) | (j < best_j[rows]))
             best_d[rows[better]] = d[better]
             best_j[rows[better]] = j[better]
@@ -181,6 +187,10 @@ def lyapunov_rosenstein(
     beyond theiler_window, averages log divergence at each step ahead,
     and fits a least-squares line over fit_range.  The slope is the
     exponent in natural-log units per iteration.
+
+    A pair's squared differences are summed in embedding order, the
+    order numpy sums a row of up to 7 columns in; from embed_dim 8 on,
+    numpy would sum a row pairwise, so the last bits can differ.
     """
     xs = np.asarray(samples, dtype=float).ravel()
     if xs.size < 1000:
@@ -193,24 +203,37 @@ def lyapunov_rosenstein(
     if not 0 <= lo < hi <= max_steps:
         raise ValueError("fit_range must be increasing and within max_steps")
 
-    n = xs.size - (embed_dim - 1) * delay
+    span = (embed_dim - 1) * delay
+    n = xs.size - span
     if n < 2:
         raise EstimationError(
             f"embed_dim={embed_dim} and delay={delay} need at least "
-            f"{(embed_dim - 1) * delay + 2} samples, got {xs.size}"
+            f"{span + 2} samples, got {xs.size}"
         )
     points = np.column_stack([xs[j * delay : j * delay + n] for j in range(embed_dim)])
     anchors, partners = _nearest_neighbors(points, theiler_window)
 
+    def gap(t):
+        # xs[a + t] - xs[p + t] for every pair; an index past the series
+        # is clipped, and limit drops its row before it is read
+        ahead = xs[t:]
+        return np.take(ahead, anchors, mode="clip") - np.take(ahead, partners, mode="clip")
+
+    # step s reads gap(s + j * delay) for j < embed_dim: each gap is
+    # gathered once and kept while a later step reads it
+    limit = n - np.maximum(anchors, partners)
+    gaps = [gap(t) for t in range(span)]
     steps = np.arange(max_steps + 1)
     curve = np.full(max_steps + 1, np.nan)
-    for s in steps:
-        alive = (anchors + s < n) & (partners + s < n)
-        diffs = points[anchors[alive] + s] - points[partners[alive] + s]
-        dists = np.sqrt((diffs * diffs).sum(axis=1))
-        dists = dists[dists > 0.0]
-        if dists.size:
-            curve[s] = float(np.log(dists).mean())
+    for s in range(min(max_steps + 1, int(limit.max()))):
+        gaps.append(gap(s + span))
+        sq = gaps[0] * gaps[0]
+        for g in gaps[delay::delay]:
+            sq += g * g
+        sq = sq[(limit > s) & (sq > 0.0)]
+        if sq.size:
+            curve[s] = float(np.log(np.sqrt(sq)).mean())
+        del gaps[0]
 
     window = curve[lo : hi + 1]
     if np.isnan(window).any():

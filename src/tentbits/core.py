@@ -243,17 +243,21 @@ def output_stream(words, width: BitWidth | int, tap: str = "msb") -> list[int]:
     return output_array(words, width, tap).tolist()
 
 
-def decode_series(words, width: BitWidth | int) -> list[float]:
-    """Decoded values for a word sequence.
+def decode_series(words, width: BitWidth | int) -> np.ndarray:
+    """Decoded values for a word sequence, as a float64 array.
 
     The words, a sequence of ints or an integer array, are checked once,
-    in one pass over them all.  Each value is then the exact Python
-    w / (2**k - 1): a float64 division of the words would round twice
-    above 53 bits.
+    in one pass over them all.  Each value is Python's correctly rounded
+    w / (2**k - 1).  Up to 53 bits the words and 2**k - 1 are exact
+    float64s and one IEEE division rounds once, so an array divide gives
+    it; above, converting a word would round it first, so Python divides.
     """
     width = as_width(width)
+    array = _word_array(words, width)
     m = width.max_word
-    return [w / m for w in _word_array(words, width).tolist()]
+    if width.k <= 53:
+        return array / float(m)
+    return np.fromiter((w / m for w in array.tolist()), float, len(array))
 
 
 def is_degenerate_seed(w: int, width: BitWidth | int) -> bool:

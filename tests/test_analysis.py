@@ -431,6 +431,87 @@ class TestLyapunovRosenstein:
         assert np.all(np.diff(window) > 0)
 
 
+def reference_curve(samples, embed_dim, delay, theiler_window, max_steps):
+    """The per-step divergence loop lyapunov_rosenstein replaced: at each
+    step gather the embedded points of the pairs still inside the
+    series, two rows per pair, and let numpy sum each difference row's
+    squares.  Returns (curve, neighbor_count)."""
+    xs = np.asarray(samples, dtype=float)
+    n = xs.size - (embed_dim - 1) * delay
+    points = np.column_stack([xs[j * delay : j * delay + n] for j in range(embed_dim)])
+    anchors, partners = _nearest_neighbors(points, theiler_window)
+    curve = np.full(max_steps + 1, np.nan)
+    for s in range(max_steps + 1):
+        alive = (anchors + s < n) & (partners + s < n)
+        diffs = points[anchors[alive] + s] - points[partners[alive] + s]
+        dists = np.sqrt((diffs * diffs).sum(axis=1))
+        dists = dists[dists > 0.0]
+        if dists.size:
+            curve[s] = float(np.log(dists).mean())
+    return curve, len(anchors)
+
+
+def divergence_series(kind, size, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.random(size)
+    if kind == "quantized":
+        return np.floor(rng.random(size) * 16) / 16
+    word = int(rng.integers(1, 0xFFFF))
+    return decode_series(iterate(MapConfig(width=16), word, size)[1:], 16)
+
+
+class TestDivergenceCurve:
+    def _check(self, xs, embed_dim, delay, theiler_window, max_steps, exact=True):
+        params = dict(embed_dim=embed_dim, delay=delay, theiler_window=theiler_window)
+        want, count = reference_curve(xs, **params, max_steps=max_steps)
+        got = lyapunov_rosenstein(xs, **params, max_steps=max_steps)
+        assert got.neighbor_count == count
+        if exact:
+            assert np.array_equal(got.curve, want, equal_nan=True)
+            slope = np.polyfit(np.arange(1, 9), want[1:9], 1)[0]
+            assert got.exponent == slope
+        else:
+            # from 8 dimensions numpy sums a row pairwise, the estimator in
+            # column order: each distance moves by a few float64 roundings
+            # (eps 2.2e-16), so its log, and the mean of the logs, by about
+            # as much in absolute terms
+            np.testing.assert_allclose(got.curve, want, rtol=0, atol=1e-12)
+
+    @given(
+        st.sampled_from(("random", "quantized", "tent")),
+        st.integers(1000, 2500),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 7),
+        st.integers(1, 3),
+        st.integers(0, 50),
+        st.integers(12, 30),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_equals_the_per_step_gather(
+        self, kind, size, seed, embed_dim, delay, theiler_window, max_steps
+    ):
+        xs = divergence_series(kind, size, seed)
+        self._check(xs, embed_dim, delay, theiler_window, max_steps)
+
+    @pytest.mark.parametrize("embed_dim", (1, 2, 3))
+    @pytest.mark.parametrize("max_steps", (30, 700))
+    def test_pairs_drop_out_near_the_end(self, embed_dim, max_steps):
+        # every point of one half pairs with its near copy in the other,
+        # so a pair (a, a + 600) leaves the series at step n - a - 600:
+        # rows drop out one by one, and past step 600 none is left
+        rng = np.random.default_rng(21)
+        base = rng.random(600)
+        xs = np.concatenate([base, base + 1e-9 * rng.random(600)])
+        self._check(xs, embed_dim, 1, 10, max_steps)
+
+    @pytest.mark.parametrize("embed_dim", (8, 9))
+    @pytest.mark.parametrize("kind", ("random", "tent"))
+    def test_wide_embeddings_agree_to_rounding(self, embed_dim, kind):
+        xs = divergence_series(kind, 2000, embed_dim)
+        self._check(xs, embed_dim, 1, 10, 12, exact=False)
+
+
 def brute_force_partners(points, w):
     """O(n^2) reference: argmin (distance, j) over distance > 0, |i - j| > w."""
     diffs = points[:, None, :] - points[None, :, :]
@@ -493,6 +574,17 @@ class TestNearestNeighbors:
         anchors, _ = _nearest_neighbors(points, 30)
         assert anchors.tolist() == [*range(9), *range(31, 40)]
         self._check(points, 30)
+
+    @pytest.mark.parametrize("w", (0, 10, 20))
+    def test_single_and_repeated_points(self, w):
+        # points seen once take the first-member lookup alone; repeated
+        # ones may need the search past the window as well
+        rng = np.random.default_rng(13)
+        single = rng.random((600, 2))
+        lattice = np.column_stack(
+            [rng.integers(0, 3, 900), rng.integers(0, 3, 900)]
+        ) / 2.0
+        self._check(rng.permutation(np.concatenate([single, lattice])), w)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)

@@ -399,10 +399,10 @@ class TestWordSeriesChecks:
         words = [True, np.uint8(3), np.int64(200), np.uint64(255), False]
         assert output_stream(words, 8) == [0, 0, 1, 1, 0]
         assert output_stream(words, 8, tap="lsb") == [1, 1, 0, 1, 0]
-        assert decode_series(words, 8) == [1 / 255, 3 / 255, 200 / 255, 1.0, 0.0]
+        assert decode_series(words, 8).tolist() == [1 / 255, 3 / 255, 200 / 255, 1.0, 0.0]
         top = np.uint64(2**64 - 1)
         assert output_stream([top], 64) == [1]
-        assert decode_series([top], 64) == [1.0]
+        assert decode_series([top], 64).tolist() == [1.0]
 
     def test_array_input_is_left_alone(self):
         words = np.array([0x80, 0x7F, 0xFF], dtype=np.uint64)
@@ -412,21 +412,41 @@ class TestWordSeriesChecks:
     @pytest.mark.parametrize("series", WORD_SERIES)
     def test_generator_input(self, series):
         words = [0, 9, 200, 255]
-        assert series((w for w in words), 8) == series(words, 8)
+        assert _same(series((w for w in words), 8), series(words, 8))
         with pytest.raises(ValueError, match="word 0x100 does not fit in 8 bits"):
             series((w for w in [1, 256, -1]), 8)
 
     @pytest.mark.parametrize("series", WORD_SERIES)
     def test_empty_input(self, series):
-        assert series([], 8) == []
-        assert series(iter(()), 64) == []
+        # both sides of decode_series' 53-bit split
+        for words, k in (([], 8), (iter(()), 53), ([], 54), (iter(()), 64)):
+            got = series(words, k)
+            if series is decode_series:
+                assert got.dtype == np.float64 and got.shape == (0,)
+            else:
+                assert got == []
 
     def test_return_types(self):
-        words = iterate(MapConfig(width=64), 0x5A3C, 50)
-        bits = output_stream(words, 64)
-        values = decode_series(words, 64)
-        assert type(bits) is list and all(type(b) is int for b in bits)
-        assert type(values) is list and all(type(x) is float for x in values)
+        for k in (16, 64):
+            words = iterate(MapConfig(width=k), 0x5A3C, 50)
+            bits = output_stream(words, k)
+            values = decode_series(words, k)
+            assert type(bits) is list and all(type(b) is int for b in bits)
+            assert type(values) is np.ndarray and values.dtype == np.float64
+            m = (1 << k) - 1
+            assert np.array_equal(values, [w / m for w in words])
+
+    @pytest.mark.parametrize("k", range(2, 65))
+    def test_decode_is_the_int_division(self, k):
+        # one array divide up to 53 bits, Python's division above; both
+        # give the correctly rounded w / m that Python ints give
+        m = (1 << k) - 1
+        rng = random.Random(k)
+        words = [0, 1, m - 1, m, 1 << (k - 1)]
+        words += [rng.randrange(m + 1) for _ in range(200)]
+        values = decode_series(words, k)
+        assert values.dtype == np.float64
+        assert values.tolist() == [w / m for w in words]
 
     @pytest.mark.parametrize("k", (54, 64))
     def test_decode_stays_exact_above_53_bits(self, k):
@@ -439,7 +459,7 @@ class TestWordSeriesChecks:
             w = rng.randrange(m + 1)
             if float(w) / float(m) != float(Fraction(w, m)):
                 words.append(w)
-        assert decode_series(words, k) == [float(Fraction(w, m)) for w in words]
+        assert decode_series(words, k).tolist() == [float(Fraction(w, m)) for w in words]
 
 
 # netlist.run hands its words over as a uint64 array; the writers read
@@ -463,7 +483,7 @@ class TestUint64ArrayWords:
             assert bits.dtype == np.uint8
             assert np.array_equal(bits, output_array(words, k, tap))
             assert output_stream(array, k, tap) == output_stream(words, k, tap)
-        assert decode_series(array, k) == decode_series(words, k)
+        assert np.array_equal(decode_series(array, k), decode_series(words, k))
         assert array.tolist() == words
 
     @pytest.mark.parametrize("series", ARRAY_SERIES)

@@ -72,10 +72,11 @@ def reference_trajectory(words, k: int, fmt: str) -> bytes:
         return "".join(f"{w:0{digits}X}\n" for w in words).encode()
     if fmt == "bits":
         return "".join(f"{b}\n" for b in output_stream(words, k)).encode()
-    values = decode_series(words, k)
+    # Python's int division, independent of decode_series
+    m = BitWidth(k).max_word
     lines = ["index,word,value"]
-    for i, (w, x) in enumerate(zip(words, values)):
-        lines.append(f"{i},0x{w:0{digits}X},{x!r}")
+    for i, w in enumerate(words):
+        lines.append(f"{i},0x{w:0{digits}X},{w / m!r}")
     return ("\n".join(lines) + "\n").encode()
 
 
