@@ -311,7 +311,8 @@ def histogram(samples, bins: int) -> HistogramResult:
     xs = np.asarray(samples, dtype=float).ravel()
     if xs.size == 0:
         raise ValueError("empty series")
-    if xs.min() < 0.0 or xs.max() > 1.0:
+    # NaN fails both comparisons, so it is outside too
+    if not ((xs >= 0.0) & (xs <= 1.0)).all():
         raise ValueError("samples outside [0, 1]")
     counts, _ = np.histogram(xs, bins=bins, range=(0.0, 1.0))
     expected = xs.size / bins
@@ -361,15 +362,15 @@ def cycle_detect(config: MapConfig, seed: int) -> tuple[int, int, bool]:
 
 
 def _least_ahead(succ: np.ndarray) -> np.ndarray:
-    """Pointer doubling: label[v] is the least node of the cycle v lies
-    on, for every cycle node v (other nodes get a node ahead of them).
+    """Pointer doubling over a permutation (a union of cycles):
+    label[v] is the least node of the cycle v lies on.
 
     After r rounds label[v] is the least of v's next 2**r nodes, which
     covers the whole cycle once 2**r >= n.  A round that would change no
     label stops it sooner: then label[v] <= label[jump[v]] for every v,
-    and on a cycle the jumps from v come back to v, so every label along
-    them is equal; their windows together cover the cycle, so each
-    cycle node's label is already the cycle's least.
+    and the jumps from v come back to v, so every label along them is
+    equal; their windows together cover the cycle, so each label is
+    already the cycle's least.
     """
     label, jump = np.arange(len(succ)), succ
     for _ in range((len(succ) - 1).bit_length()):
@@ -387,10 +388,12 @@ def _classify(succ: np.ndarray):
     successor.
 
     Nodes nothing points to are peeled off layer by layer; what is left
-    is the union of the cycles.  Pointer doubling labels each cycle node
-    with its cycle's smallest node, and a count of labels gives the
-    periods.  Replaying the layers in reverse hands each peeled node its
-    successor's root and period and one more transient step.
+    is the union of the cycles.  The cycle nodes are numbered 0, 1, ...
+    in ascending order, so pointer doubling over them alone labels each
+    with the local number of its cycle's least node, and a count of
+    labels gives the periods.  Replaying the layers in reverse hands
+    each peeled node its successor's root and period and one more
+    transient step.
     """
     n = len(succ)
     indegree = np.bincount(succ, minlength=n)
@@ -402,16 +405,21 @@ def _classify(succ: np.ndarray):
         indegree[hit] -= count
         layer = hit[indegree[hit] == 0]
     cycle = np.flatnonzero(indegree)
-    label = _least_ahead(succ)
+    # the spent indegree array holds each cycle node's local number
+    local = indegree
+    local[cycle] = np.arange(len(cycle))
+    label = _least_ahead(local[succ[cycle]])
+    root = np.empty(n, dtype=np.intp)
+    root[cycle] = cycle[label]
     period = np.zeros(n, dtype=np.intp)
-    period[cycle] = np.bincount(label[cycle], minlength=n)[label[cycle]]
+    period[cycle] = np.bincount(label)[label]
     transient = np.zeros(n, dtype=np.intp)
     for layer in reversed(layers):
         ahead = succ[layer]
         transient[layer] = transient[ahead] + 1
         period[layer] = period[ahead]
-        label[layer] = label[ahead]
-    return transient, period, label
+        root[layer] = root[ahead]
+    return transient, period, root
 
 
 def cycle_table(width: BitWidth | int, perturbed: bool = True) -> CycleTable:

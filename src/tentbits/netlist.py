@@ -14,8 +14,7 @@ That is k XOR gates, k flip-flops and one multiplexer: 2k + 1 elements.
 lanes at once (bit-parallel, or parallel-pattern, simulation): each net
 carries an int whose bit p is its value in lane p, so an XOR gate is `^`
 and the multiplexer is `b ^ (sel & (a ^ b))`.  Combinational nets settle
-in topological order, then all flip-flops latch at once.  `_clock` is
-its one-lane case.
+in topological order, then all flip-flops latch at once.
 
 `run` is the one simulation entry point.  One pass of the gates in k + 2
 lanes loads the seed through the multiplexer (lane 0) and probes a run
@@ -278,14 +277,6 @@ def _transpose(rows: list[int], n: int) -> list[int]:
             out[low.bit_length() - 1] |= 1 << r
             row ^= low
     return out
-
-
-def _clock(
-    netlist: Netlist, order: list[Element], state: int, seed: int, load: int
-) -> int:
-    """One clock edge from one state with the load select at `load`:
-    the one-lane case of _clock_lanes."""
-    return _clock_lanes(netlist, order, [state], seed, load)[0]
 
 
 def _load_and_cycle(

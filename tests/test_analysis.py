@@ -159,6 +159,14 @@ class TestHistogram:
         with pytest.raises(ValueError):
             histogram([0.5], bins=1)
 
+    # np.histogram drops a NaN while the expected count still holds it
+    @pytest.mark.parametrize("at", (0, 1, 3), ids=("first", "middle", "last"))
+    def test_rejects_nan(self, at):
+        samples = [0.1, 0.7, 0.2]
+        samples.insert(at, math.nan)
+        with pytest.raises(ValueError, match=r"samples outside \[0, 1\]"):
+            histogram(samples, bins=2)
+
 
 class TestCycleDetect:
     def test_seven_cycle_seed(self):
@@ -255,16 +263,26 @@ class TestCycleTable:
 
 def classify_oracle(succ):
     """Visited-set walk of a functional graph: (transient, period, least
-    node of the cycle reached) per node."""
-    out = []
+    node of the cycle reached) per node.  A walk stops at a node an
+    earlier walk resolved, so each node is walked once."""
+    out = [None] * len(succ)
     for v in range(len(succ)):
         seen, path = {}, []
-        while v not in seen:
+        while v not in seen and out[v] is None:
             seen[v] = len(path)
             path.append(v)
             v = succ[v]
-        first = seen[v]
-        out.append((first, len(path) - first, min(path[first:])))
+        if out[v] is None:
+            # the walk closed a new cycle, entered at v
+            cycle = path[seen[v]:]
+            entry = (0, len(cycle), min(cycle))
+            for u in cycle:
+                out[u] = entry
+            del path[seen[v]:]
+        transient, period, root = out[v]
+        for u in reversed(path):
+            transient += 1
+            out[u] = (transient, period, root)
     return out
 
 
@@ -306,6 +324,32 @@ class TestClassify:
         for v in range(100, 600):
             succ.append(int(rng.integers(0, v)))
         self._check(succ)
+
+    def test_cycles_above_their_tails(self):
+        # the cycles hold the highest ids and every tail node points
+        # upwards, so a cycle node's rank among the cycle nodes is never
+        # its id and a root given as a rank fails the oracle
+        rng = np.random.default_rng(10)
+        n = 600
+        succ = [0] * n
+        cycle_nodes = rng.permutation(np.arange(400, n)).tolist()
+        start = 0
+        for length in (1, 2, 7, 40, 150):
+            cycle = cycle_nodes[start : start + length]
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                succ[a] = b
+            start += length
+        for v in range(400):
+            succ[v] = int(rng.integers(v + 1, n))
+        self._check(succ)
+        _, _, root = _classify(np.asarray(succ, dtype=np.intp))
+        assert root.min() >= 400
+
+    @pytest.mark.parametrize("perturbed", (True, False))
+    @pytest.mark.parametrize("k", (12, 16))
+    def test_word_model_successor_tables(self, k, perturbed):
+        config = MapConfig(width=k, perturbed=perturbed)
+        self._check([step(config, w) for w in range(1 << k)])
 
     @pytest.mark.parametrize("n", (1, 2, 257))
     def test_everything_maps_to_zero(self, n):

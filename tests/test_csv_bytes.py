@@ -235,6 +235,41 @@ class TestDigits:
         text = columns.hexadecimal(array, 16, prefix=b"0x")
         assert [bytes(row) for row in text] == [f"0x{v:016X}".encode() for v in values]
 
+    @staticmethod
+    def assert_exact(array, hex_width):
+        values = [int(v) for v in array]
+        text = columns.decimal(array)
+        assert [bytes(row).replace(b"\0", b"") for row in text] == [
+            str(v).encode() for v in values
+        ]
+        text = columns.hexadecimal(array, hex_width)
+        assert text.shape == (len(values), hex_width)
+        assert [bytes(row) for row in text] == [
+            f"{v:0{hex_width}X}".encode() for v in values
+        ]
+
+    # a column whose largest value is below 2**32 takes 32-bit words, with
+    # hex digits past the eighth all leading zeros
+    @given(st.lists(st.integers(0, (1 << 32) - 1), max_size=50),
+           st.sampled_from((8, 9, 16, 20)))
+    def test_exact_below_two_to_the_32(self, values, hex_width):
+        self.assert_exact(np.array(values, dtype=np.uint64), hex_width)
+
+    @pytest.mark.parametrize("top", ((1 << 32) - 1, 1 << 32, (1 << 64) - 1))
+    @pytest.mark.parametrize("hex_width", (16, 20))
+    def test_exact_at_the_word_edges(self, top, hex_width):
+        values = [0, 1, 9, 10, 15, 16, (1 << 32) - 2, top - 1, top]
+        self.assert_exact(np.array(values, dtype=np.uint64), hex_width)
+
+    @pytest.mark.parametrize("top", ((1 << 32) - 1, 1 << 32, (1 << 63) - 1))
+    def test_exact_for_int64(self, top):
+        values = [7, 0, 10**9, top, 99, 1 << 31]
+        self.assert_exact(np.array(values, dtype=np.int64), 16)
+
+    @pytest.mark.parametrize("dtype", (np.uint64, np.int64, np.intp))
+    def test_empty_column(self, dtype):
+        self.assert_exact(np.array([], dtype=dtype), 5)
+
     def test_rejects_what_str_would_not_print_as_digits(self):
         with pytest.raises(ValueError, match="negative"):
             columns.decimal(np.array([3, -1]))

@@ -17,7 +17,7 @@ from tentbits.netlist import (
     Element,
     Netlist,
     StructuralError,
-    _clock,
+    _clock_lanes,
     _load_and_cycle,
     _topo_order,
     _transpose,
@@ -326,12 +326,15 @@ def _run_cycle_map(circuit, seed):
     """The affine map of one run cycle, probed at gate level."""
     order = _topo_order(circuit)
     k = circuit.width.k
-    return AffineMap.from_probe(lambda w: _clock(circuit, order, w, seed, 0), k)
+    return AffineMap.from_probe(
+        lambda w: _clock_lanes(circuit, order, [w], seed, 0)[0], k
+    )
 
 
 class TestAffineRun:
-    """run applies the affine map read off k + 1 probes; _clock is the
-    gate-level reference it must reproduce on every cycle."""
+    """run applies the affine map read off k + 1 probes; one-lane
+    _clock_lanes is the gate-level reference it must reproduce on every
+    cycle."""
 
     @pytest.mark.parametrize("perturbed", (True, False))
     @pytest.mark.parametrize("k", range(2, 65))
@@ -349,7 +352,7 @@ class TestAffineRun:
         circuit = build_tent_netlist(k, perturbed=perturbed)
         order = _topo_order(circuit)
         for seed in (0, top, *samples[:2]):
-            assert _clock(circuit, order, 0, seed, 1) == seed
+            assert _clock_lanes(circuit, order, [0], seed, 1)[0] == seed
             assert _run_cycle_map(circuit, seed) == model
 
     @pytest.mark.parametrize(
@@ -366,9 +369,9 @@ class TestAffineRun:
         # from two of them
         runs = [(seed, 60) for seed in sorted(seeds)] + [(top, 1000), (5, 1000)]
         for seed, n in runs:
-            words = [_clock(circuit, order, 0, seed, 1)]
+            words = [_clock_lanes(circuit, order, [0], seed, 1)[0]]
             for _ in range(n):
-                words.append(_clock(circuit, order, words[-1], seed, 0))
+                words.append(_clock_lanes(circuit, order, [words[-1]], seed, 0)[0])
             assert run(circuit, seed, n).tolist() == words
 
     def test_hand_edits_take_effect(self):
@@ -381,8 +384,8 @@ class TestAffineRun:
             assert run(circuit, 0x1A5, 60).tolist() != iterate(config, 0x1A5, 60)
         circuit = _hand_edited(9, ("serial",))
         order = _topo_order(circuit)
-        assert _clock(circuit, order, 0, 0, 0) == 0
-        assert _clock(circuit, order, 0, 1 << 1, 0) == 1
+        assert _clock_lanes(circuit, order, [0], 0, 0)[0] == 0
+        assert _clock_lanes(circuit, order, [0], 1 << 1, 0)[0] == 1
 
     @pytest.mark.parametrize("k", (4, 9, 17))
     def test_hand_edits_give_distinct_maps(self, k):
@@ -395,7 +398,7 @@ class TestAffineRun:
 
 def _scalar_load_and_cycle(circuit, order, seed):
     """The loaded word and the run cycle's map from k + 2 one-lane clocks."""
-    return _clock(circuit, order, 0, seed, 1), _run_cycle_map(circuit, seed)
+    return _clock_lanes(circuit, order, [0], seed, 1)[0], _run_cycle_map(circuit, seed)
 
 
 class TestLanePass:
