@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import columns
 from .core import BitWidth, MapConfig, as_width, check_word, step
@@ -108,13 +107,25 @@ class CycleCensus:
 def _nearest_neighbors(points: np.ndarray, theiler_window: int):
     """Rosenstein partners: for each point i, the index j of smallest
     (distance, j) over the points at positive distance with |i - j| > w
-    (w = theiler_window), so ties go to the lower index.  The search
-    first covers the 4 nearest distinct points of i; a row whose best
-    distance is not below the farthest one queried (none found counts
-    as infinite) is queried again, twice as wide, until it is or the
-    query holds every distinct point.  A point with no partner is left
-    out.  Deduplicating first keeps heavily quantized series cheap.
-    Returns (anchors, partners), anchors ascending.
+    (w = theiler_window), so ties go to the lower index.  A point with
+    no partner is left out.  Returns (anchors, partners), anchors
+    ascending.
+
+    An exact sweep.  The distinct points are sorted by their columns,
+    first column first, and every point walks outward from its own on
+    both sides of that order, one offset per vectorized pass over the
+    walks still going.  A distance is the square root of the squared
+    differences summed in column order.  A side stops once
+    sqrt(dx0 * dx0) > the best distance so far, dx0 being the
+    first-column gap: that bound only grows along a side and the
+    rounded distance never falls below it, so nothing further can beat
+    or tie the best.  (|dx0| is no bound: where dx0 * dx0 is subnormal,
+    its square root rounds below |dx0|.)
+
+    Near-linear when the points lie along a curve over their first
+    column, as a 1-D map's delay embedding does: a tent orbit of 65 535
+    points takes about 0.04 s on 2 CPUs.  A cloud spread over the plane
+    needs about sqrt(n) offsets per point: about 0.7-1.1 s at 65 536.
     """
     n, w = len(points), theiler_window
     # lexsort is stable, so point v's indices, ascending, are
@@ -129,26 +140,39 @@ def _nearest_neighbors(points: np.ndarray, theiler_window: int):
     if n_u < 2:
         raise EstimationError("constant series has no distinct neighbors")
     ids = np.cumsum(new) - 1
-    inverse = np.empty_like(ids)
-    inverse[members] = ids
     keys = ids * n + members
-    tree, kk = cKDTree(uniq), min(n_u, 4)
+    head = members[starts[:-1]]
+    # one contiguous array per column; a NaN past the last point (index
+    # n_u, and -1 from the left) fails the bound and ends the walk
+    coords = np.full((points.shape[1], n_u + 1), np.nan)
+    coords[:, :-1] = uniq.T
+    first, rest = coords[0], coords[1:]
+    # the state is indexed by sorted position p, the point of row
+    # members[p], so the walks gather memory nearly in sequence
     best_d, best_j = np.full(n, np.inf), np.full(n, -1)
-    # row i's neighbours are line lines[i] of the query of the points queried
-    pending, queried, lines = np.arange(n), uniq, inverse
-    while pending.size:
-        dist_u, idx_u = tree.query(queried, k=kk)
-        rows = pending
-        for col in range(kk):
-            # columns come in distance order, so a beaten row is done
-            d = dist_u[lines[rows], col]
-            keep = d <= best_d[rows]
-            rows, d = rows[keep], d[keep]
+    walks = [np.arange(n), np.arange(n)]
+    offset = 0
+    while walks[0].size or walks[1].size:
+        offset += 1
+        # one side at a time: a point's two walks may both improve it
+        for side, shift in enumerate((-offset, offset)):
+            pos = walks[side]
+            u = ids[pos]
+            v = u + shift
+            gap = first[v] - first[u]
+            sq = gap * gap
+            # indices, not a mask: a random mask applied four times costs more
+            going = np.flatnonzero(np.sqrt(sq) <= best_d[pos])
+            pos, u, v, sq = pos[going], u[going], v[going], sq[going]
+            walks[side] = pos
+            for col in rest:
+                gap = col[v] - col[u]
+                sq += gap * gap
+            d = np.sqrt(sq)
             # v's earliest index outside the window: its first one, unless
             # that lies inside; then its first one after the window, which
             # only a value with more than one member can have
-            v = idx_u[lines[rows], col]
-            j = members[starts[v]]
+            rows, j = members[pos], head[v]
             ok = np.abs(j - rows) > w
             inside = np.flatnonzero(~ok & (sizes[v] > 1))
             vi = v[inside]
@@ -156,20 +180,18 @@ def _nearest_neighbors(points: np.ndarray, theiler_window: int):
             ok[inside] = after < starts[vi + 1]
             j[inside] = members[np.minimum(after, n - 1)]
             ok &= d > 0.0
-            better = ok & ((d < best_d[rows]) | (j < best_j[rows]))
-            best_d[rows[better]] = d[better]
-            best_j[rows[better]] = j[better]
-        # points past the query's edge may beat or tie the best distance
-        # with a lower index: widen the query for those rows until none does
-        edge = dist_u[lines[pending], -1]
-        pending = pending[(best_d[pending] >= edge) & (kk < n_u)]
-        kk = min(n_u, 2 * kk)
-        distinct = np.unique(inverse[pending])
-        queried, lines = uniq[distinct], np.searchsorted(distinct, inverse)
-    anchors = np.flatnonzero(best_j >= 0)
+            old_d = best_d[pos]
+            better = np.flatnonzero(
+                ok & ((d < old_d) | ((d == old_d) & (j < best_j[pos])))
+            )
+            best_d[pos[better]] = d[better]
+            best_j[pos[better]] = j[better]
+    partner = np.empty_like(best_j)
+    partner[members] = best_j
+    anchors = np.flatnonzero(partner >= 0)
     if not anchors.size:
         raise EstimationError("no neighbor pairs satisfy the distance criteria")
-    return anchors, best_j[anchors]
+    return anchors, partner[anchors]
 
 
 def lyapunov_rosenstein(

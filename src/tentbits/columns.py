@@ -79,12 +79,18 @@ def write(path, header, length: int, render) -> None:
     """Write a header line (unless header is None), then rows 0..length-1.
 
     render(rows) gives the columns of the rows in the slice rows, one
-    matrix each.  A file's lines end in "\\n" on every platform; "-" is
-    stdout.
+    matrix each.  The bytes go to a binary handle, so a file's lines end
+    in "\\n" on every platform; "-" is stdout's buffer, after whatever
+    its text layer holds.
     """
-    with nullcontext(sys.stdout) if path == "-" else open(path, "w", newline="") as fh:
+    if path == "-":
+        sys.stdout.flush()
+        handle = nullcontext(sys.stdout.buffer)
+    else:
+        handle = open(path, "wb")
+    with handle as fh:
         if header is not None:
-            fh.write(",".join(header) + "\n")
+            fh.write(",".join(header).encode("ascii") + b"\n")
         for start in range(0, length, BLOCK_ROWS):
             matrices = render(slice(start, min(start + BLOCK_ROWS, length)))
             widths = [matrix.shape[1] for matrix in matrices]
@@ -95,4 +101,4 @@ def write(path, header, length: int, render) -> None:
             for matrix, width in zip(matrices, widths):
                 table[:, at : at + width] = matrix
                 at += width + 1
-            fh.write(table[table != 0].tobytes().decode("ascii"))
+            fh.write(table[table != 0].tobytes())

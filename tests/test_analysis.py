@@ -575,8 +575,8 @@ class TestNearestNeighbors:
         np.testing.assert_array_equal(anchors, ref_anchors)
         np.testing.assert_array_equal(partners, ref_partners)
 
-    # w = 20 leaves up to 40 nearer points inside the window, far past
-    # the first 4-neighbour query
+    # w = 20 leaves up to 40 nearer points inside the window, so a walk
+    # passes many points before its first partner
     @pytest.mark.parametrize("w", (0, 10, 20))
     def test_continuous_points(self, w):
         points = np.random.default_rng(11).random((1500, 2))
@@ -584,7 +584,8 @@ class TestNearestNeighbors:
 
     @pytest.mark.parametrize("w", (0, 10, 20))
     def test_tie_heavy_lattice(self, w):
-        # 4 x 8 = 32 distinct points, so widening reaches all of them
+        # 4 x 8 = 32 distinct points, 8 to each first coordinate: ties
+        # in the first column keep the walks going past them
         rng = np.random.default_rng(12)
         points = np.column_stack(
             [rng.integers(0, 4, 1500), rng.integers(0, 8, 1500)]
@@ -600,7 +601,7 @@ class TestNearestNeighbors:
     @pytest.mark.parametrize("w", (16, 20, 40))
     def test_window_sized_query_holds_a_partner(self, w):
         # on a line the 2w nearest points of i are all inside its window,
-        # so only a query widened past 2w + 1 points reaches a partner
+        # so each walk goes w + 1 points out before it finds a partner
         points = np.arange(300.0)[:, None]
         anchors, partners = _nearest_neighbors(points, w)
         assert anchors.tolist() == list(range(300))
@@ -608,8 +609,8 @@ class TestNearestNeighbors:
 
     @pytest.mark.parametrize("w", (15, 20))
     def test_ties_past_the_query_go_to_lower_index(self, w):
-        # i - w - 1 and i + w + 1 tie at the same distance, and a widened
-        # query may hold only one of them
+        # i - w - 1 and i + w + 1 tie at the same distance, one on each
+        # side of i, and the lower index must win from either side
         self._check(np.arange(300.0)[:, None], w)
 
     def test_points_without_partner_are_left_out(self):
@@ -629,6 +630,32 @@ class TestNearestNeighbors:
             [rng.integers(0, 3, 900), rng.integers(0, 3, 900)]
         ) / 2.0
         self._check(rng.permutation(np.concatenate([single, lattice])), w)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("scale", (1e-310, 1e-160, 1e150))
+    def test_scaled_points_match_brute_force(self, scale, seed):
+        # at 1e-160 the squared gaps are subnormal, so a distance can
+        # round below the first-column gap |dx0|; at 1e-310 every
+        # square is 0 and no pair has positive distance
+        points = np.random.default_rng(seed).random((300, 2)) * scale
+        if brute_force_partners(points, 10)[0].size:
+            self._check(points, 10)
+        else:
+            with pytest.raises(EstimationError):
+                _nearest_neighbors(points, 10)
+
+    @pytest.mark.parametrize("w", (0, 10))
+    @pytest.mark.parametrize("embed_dim", (1, 2, 3))
+    @pytest.mark.parametrize(
+        "k,seed",
+        [(8, 0x40), (16, 0x5A3C), (32, 0x12345678), (64, 0x123456789ABCDEF)],
+        ids=("k8", "k16", "k32", "k64"),
+    )
+    def test_tent_orbit_embeddings(self, k, seed, embed_dim, w):
+        # the delay embeddings `analyze` passes, at the CLI's seeds
+        xs = decode_series(iterate(MapConfig(width=k), seed, 2000)[1:], k)
+        n = len(xs) - embed_dim + 1
+        self._check(np.column_stack([xs[j : j + n] for j in range(embed_dim)]), w)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)

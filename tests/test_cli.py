@@ -519,21 +519,32 @@ def test_bad_analyze_flag_makes_no_out_dir(tmp_path, capsys, flags, message, tes
     assert not out_dir.exists()
 
 
-def test_module_entry_point_runs_main():
+def run_python(*args):
+    """A fresh interpreter with this checkout's src first on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    result = subprocess.run(
-        [sys.executable, "-m", "tentbits.cli", "gen", "--bits", "4", "--seed", "0x8",
-         "--n", "7", "--format", "hex"],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_module_entry_point_runs_main():
+    result = run_python(
+        "-m", "tentbits.cli", "gen", "--bits", "4", "--seed", "0x8", "--n", "7",
+        "--format", "hex",
     )
     assert result.returncode == EXIT_OK, result.stderr
     assert result.stdout.split("\n") == ["8", "E", "3", "6", "D", "5", "B", "8", ""]
+
+
+def test_cli_import_leaves_scipy_out():
+    # every command pays for this import; scipy would be most of its time
+    # and memory, and no command needs it
+    result = run_python("-c", "import sys, tentbits.cli; print('scipy' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 def test_usage_error_exits_2(capsys):
