@@ -5,7 +5,7 @@ word is exactly 1, so the fold 1 - x of the tent map is a bitwise
 complement and one iteration costs a complement, a shift, and one XOR.
 """
 
-from tentbits import BitWidth, MapConfig, decode, encode, iterate, output_stream
+from tentbits import BitWidth, MapConfig, decode, encode, iterate, output_array
 
 width = BitWidth(16)
 config = MapConfig(width=width)
@@ -22,8 +22,8 @@ for w in trajectory:
 # the binary output taps the top bit of each state
 n = 65536
 words = iterate(config, seed, n)[1:]
-bits = output_stream(words, width)
-ones = sum(bits)
+bits = output_array(words, width)
+ones = int(bits.sum())
 print(f"\n{n} output bits: {ones} ones, {n - ones} zeros "
       f"(imbalance {abs(2 * ones - n) / n:.2%})")
 

@@ -12,7 +12,7 @@ from tentbits import (
     decode_series,
     histogram,
     iterate,
-    output_stream,
+    output_array,
     shannon_entropy,
 )
 from tentbits.analysis import write_autocorrelation_csv, write_histogram_csv
@@ -21,10 +21,10 @@ config = MapConfig(width=16)
 seed, n = 0x5A3C, 65536
 words = iterate(config, seed, n)[1:]
 values = decode_series(words, 16)
-bits = output_stream(words, 16)
+bits = output_array(words, 16)
 
 # entropy of the binary output: two symbols, log base 2
-counts = [bits.count(0), bits.count(1)]
+counts = np.bincount(bits, minlength=2).tolist()
 entropy = shannon_entropy(counts)
 print(f"output bits    : {counts[0]} zeros / {counts[1]} ones")
 print(f"entropy        : {entropy.h:.6f} (1.0 means perfectly balanced)")
@@ -39,7 +39,7 @@ write_histogram_csv(hist, "histogram.csv")
 
 # the binary output stream decorrelates; the decoded values keep one
 # structural spike at lag k-2 that the bit stream does not show
-bit_ac = autocorrelation([float(b) for b in bits], max_lag=100)
+bit_ac = autocorrelation(bits.astype(float), max_lag=100)
 val_ac = autocorrelation(values, max_lag=100)
 print(f"bit stream     : max |r(1..100)| = {np.abs(bit_ac.r[1:]).max():.4f}")
 peak_lag = int(np.argmax(np.abs(val_ac.r[1:]))) + 1

@@ -15,6 +15,7 @@ from .core import (
     decode_series,
     encode,
     iterate,
+    output_array,
     output_stream,
     step,
     tent_exact,

@@ -6,8 +6,8 @@ randomness/chaos tests and emits a JSON report plus CSVs, `cycles`
 enumerates cycle structure, and `compare` prints the elements-per-bit
 table against published generators.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 every selected
-analysis failed.
+Exit codes: 0 success, 2 usage, configuration or allocation error, 3 every
+selected analysis failed.
 """
 
 from __future__ import annotations
@@ -108,11 +108,8 @@ def _write_trajectory(words: np.ndarray, args) -> None:
     bits = core.output_array(words, args.width, args.tap)
     if args.format == "raw":
         # high bits first; the tail byte is zero-padded
-        payload = np.packbits(bits).tobytes()
-        if args.out == "-":
-            sys.stdout.buffer.write(payload)
-        else:
-            Path(args.out).write_bytes(payload)
+        with columns.sink(args.out) as fh:
+            fh.write(np.packbits(bits).tobytes())
         return
     # bits: one ASCII "0" or "1" per line
     bits += ord("0")
@@ -143,10 +140,9 @@ def cmd_netlist(args) -> int:
     circuit = nl.build_tent_netlist(args.width, perturbed=args.perturbed)
     if args.stats:
         print(nl.element_stats(circuit).describe())
-    elif args.out == "-":
-        sys.stdout.write(nl.export_text(circuit))
     else:
-        Path(args.out).write_text(nl.export_text(circuit))
+        with columns.sink(args.out) as fh:
+            fh.write(nl.export_text(circuit).encode("ascii"))
     return EXIT_OK
 
 
@@ -275,9 +271,8 @@ def cmd_analyze(args) -> int:
         "tests": entries,
     }
     report_path = out_dir / "report.json"
-    with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with columns.sink(report_path) as fh:
+        fh.write(json.dumps(report, indent=2, sort_keys=True).encode("ascii") + b"\n")
     print(f"report: {report_path}")
     return EXIT_ALL_TESTS_FAILED if failures == len(tests) else EXIT_OK
 
@@ -291,11 +286,6 @@ def cmd_cycles(args) -> int:
         row = (args.seed, *analysis.cycle_detect(config, args.seed))
         table = analysis.CycleTable(*(np.array([value]) for value in row))
     else:
-        if args.width.k > analysis.CYCLE_ENUM_MAX_WIDTH:
-            raise ValueError(
-                f"exhaustive census is limited to {analysis.CYCLE_ENUM_MAX_WIDTH} bits; "
-                "pass --seed for a single orbit"
-            )
         table = analysis.cycle_table(args.width, args.perturbed)
 
     analysis.write_cycle_reports_csv(table, args.width, args.out)
@@ -422,7 +412,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,4 +1,7 @@
-"""Text tables written column by column: every CSV and the hex listing.
+"""The output sink, and text tables written column by column.
+
+`sink` opens every file the CLI writes, or stdout for "-", as one
+binary handle, so each output's lines end in "\\n" on every platform.
 
 A column of a block of rows is a (rows, width) uint8 matrix of ASCII
 bytes, NUL-padded on the right or left.  `write` copies a block's
@@ -75,20 +78,24 @@ def hexadecimal(values, width: int, prefix: bytes = b"") -> np.ndarray:
     return out
 
 
-def write(path, header, length: int, render) -> None:
-    """Write a header line (unless header is None), then rows 0..length-1.
-
-    render(rows) gives the columns of the rows in the slice rows, one
-    matrix each.  The bytes go to a binary handle, so a file's lines end
-    in "\\n" on every platform; "-" is stdout's buffer, after whatever
-    its text layer holds.
-    """
+def sink(path):
+    """A context manager giving a binary handle for an output path: "-"
+    is stdout's buffer, after whatever its text layer holds, and any
+    other path is opened for writing."""
     if path == "-":
         sys.stdout.flush()
-        handle = nullcontext(sys.stdout.buffer)
-    else:
-        handle = open(path, "wb")
-    with handle as fh:
+        return nullcontext(sys.stdout.buffer)
+    return open(path, "wb")
+
+
+def write(path, header, length: int, render) -> None:
+    """Write a header line (unless header is None), then rows 0..length-1,
+    to sink(path).
+
+    render(rows) gives the columns of the rows in the slice rows, one
+    matrix each.
+    """
+    with sink(path) as fh:
         if header is not None:
             fh.write(",".join(header).encode("ascii") + b"\n")
         for start in range(0, length, BLOCK_ROWS):

@@ -59,8 +59,6 @@ def as_width(width: BitWidth | int) -> BitWidth:
 
 def check_word(w: int, width: BitWidth | int) -> int:
     """Validate that w fits in the register; returns w as a plain int."""
-    if type(w) is int and isinstance(width, BitWidth) and 0 <= w <= width.max_word:
-        return w
     width = as_width(width)
     w = operator.index(w)
     if not 0 <= w <= width.max_word:

@@ -78,12 +78,9 @@ class AffineMap:
                 result = self.compose(result)
         return result
 
-    def orbit(self, w: int, n: int) -> list[int]:
-        """The n + 1 words w, f(w), ..., f^n(w), with f this map."""
-        return self.orbit_array(w, n).tolist()
-
     def orbit_array(self, w: int, n: int) -> np.ndarray:
-        """orbit as a '<u8' array of n + 1 words, by recursive doubling."""
+        """The n + 1 words w, f(w), ..., f^n(w), with f this map, as a
+        '<u8' array, by recursive doubling."""
         if n < 0:
             raise ValueError(f"need n >= 0 steps, got n={n}")
         if not 0 <= w < 1 << self.k:

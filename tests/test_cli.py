@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from tentbits.cli import EXIT_ALL_TESTS_FAILED, EXIT_OK, EXIT_USAGE, main
-from tentbits.core import MapConfig, iterate, output_stream
+from tentbits.core import MapConfig, iterate, output_array
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -45,7 +45,7 @@ class TestGen:
     def test_bits_format_taps_msb(self, capsys):
         code = main(["gen", "--bits", "8", "--seed", "0xC0", "--n", "3"])
         assert code == EXIT_OK
-        expected = output_stream(iterate(MapConfig(width=8), 0xC0, 3), 8)
+        expected = output_array(iterate(MapConfig(width=8), 0xC0, 3), 8)
         assert capsys.readouterr().out.split() == [str(b) for b in expected]
 
     @pytest.mark.parametrize("fmt", ("bits", "hex"))
@@ -55,7 +55,7 @@ class TestGen:
         assert code == EXIT_OK
         words = iterate(MapConfig(width=8), 0xC0, 40)
         if fmt == "bits":
-            lines = [str(b) for b in output_stream(words, 8)]
+            lines = [str(b) for b in output_array(words, 8)]
         else:
             lines = [f"{w:02X}" for w in words]
         assert capsys.readouterr().out == "\n".join(lines) + "\n"
@@ -64,7 +64,7 @@ class TestGen:
         code = main(["gen", "--bits", "8", "--seed", "0xC0", "--n", "3",
                      "--tap", "lsb"])
         assert code == EXIT_OK
-        expected = output_stream(iterate(MapConfig(width=8), 0xC0, 3), 8, tap="lsb")
+        expected = output_array(iterate(MapConfig(width=8), 0xC0, 3), 8, tap="lsb")
         assert capsys.readouterr().out.split() == [str(b) for b in expected]
 
     def test_raw_packs_bits_msb_first(self, tmp_path):
@@ -72,7 +72,7 @@ class TestGen:
         code = main(["gen", "--bits", "8", "--seed", "0x40", "--n", "9",
                      "--format", "raw", "--out", str(out)])
         assert code == EXIT_OK
-        bits = output_stream(iterate(MapConfig(width=8), 0x40, 9), 8)
+        bits = output_array(iterate(MapConfig(width=8), 0x40, 9), 8)
         first = int("".join(map(str, bits[:8])), 2)
         second = int("".join(map(str, bits[8:])) + "000000", 2)
         assert out.read_bytes() == bytes([first, second])
@@ -149,6 +149,14 @@ class TestNetlistCommand:
         text = out.read_text()
         assert text == export_text(build_tent_netlist(6))
         assert parse_text(text).width.k == 6
+
+    def test_export_stdout_matches_file(self, tmp_path, capsysbinary):
+        out = tmp_path / "circuit.txt"
+        argv = ["netlist", "--bits", "12", "--export"]
+        assert main([*argv, "--out", "-"]) == EXIT_OK
+        stdout = capsysbinary.readouterr().out
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        assert stdout == out.read_bytes()
 
     @pytest.mark.parametrize(
         "bits,seed,fmt",
@@ -301,6 +309,15 @@ class TestAnalyze:
                      "--tests", "lyapunov", "--out-dir", str(tmp_path)])
         assert code == EXIT_ALL_TESTS_FAILED
 
+    def test_unallocatable_bins_is_one_line_error(self, tmp_path, capsys):
+        # 10**15 int64 counts are 8 PB, which no allocator grants
+        argv = ["analyze", "--bits", "16", "--seed", "0x5A3C", "--n", "2000",
+                "--tests", "histogram", "--bins", str(10**15),
+                "--out-dir", str(tmp_path)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
     def test_unknown_test_exits_2(self, tmp_path, capsys):
         code = main(["analyze", "--bits", "16", "--seed", "0x5A3C", "--n", "100",
                      "--tests", "spectral", "--out-dir", str(tmp_path)])
@@ -373,6 +390,11 @@ class TestCycles:
 
     def test_exhaustive_width_bound(self, capsys):
         assert main(["cycles", "--bits", "24", "--exhaustive"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: exhaustive enumeration is limited to 20 bits"
+        ]
 
     def test_sixteen_bit_census_pinned(self, capsysbinary):
         # the bytes the earlier per-seed sweep wrote

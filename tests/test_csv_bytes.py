@@ -1,10 +1,10 @@
-"""Byte oracles for every CSV and the hex and bits listings the package writes.
+"""Byte oracles for every CSV and the hex, bits and raw listings the package writes.
 
 The references below are the row-at-a-time writers the column-wise
 `tentbits.columns` replaced: `csv.writer` over Python rows for the
 analysis CSVs, one f-string per word for `gen --format csv|hex` and
-one per output bit for `--format bits`.  Every writer must emit
-exactly their bytes.
+one per output bit for `--format bits`; `--format raw` is the output
+bits packed high bit first.  Every writer must emit exactly their bytes.
 """
 
 import csv
@@ -29,7 +29,7 @@ from tentbits.analysis import (
     lyapunov_rosenstein,
 )
 from tentbits.cli import EXIT_OK, main
-from tentbits.core import BitWidth, MapConfig, decode_series, iterate, output_stream
+from tentbits.core import BitWidth, MapConfig, decode_series, iterate, output_array
 
 
 def reference_csv(path, header, rows) -> None:
@@ -68,10 +68,12 @@ def reference_cycle_reports(table, width, path) -> None:
 
 def reference_trajectory(words, k: int, fmt: str) -> bytes:
     digits = BitWidth(k).hex_digits
+    if fmt == "raw":
+        return np.packbits(output_array(words, k)).tobytes()
     if fmt == "hex":
         return "".join(f"{w:0{digits}X}\n" for w in words).encode()
     if fmt == "bits":
-        return "".join(f"{b}\n" for b in output_stream(words, k)).encode()
+        return "".join(f"{b}\n" for b in output_array(words, k)).encode()
     # Python's int division, independent of decode_series
     m = BitWidth(k).max_word
     lines = ["index,word,value"]
@@ -285,7 +287,7 @@ class TestCliListings:
         m = (1 << k) - 1
         for seed in (0, m, random.Random(k).randrange(1, m)):
             words = iterate(MapConfig(width=k, perturbed=perturbed), seed, 20)
-            for fmt in ("csv", "hex", "bits"):
+            for fmt in ("csv", "hex", "bits", "raw"):
                 want = reference_trajectory(words, k, fmt)
                 for command in (["gen"], ["netlist", "--simulate"]):
                     argv = [*command, "--bits", str(k), "--seed", hex(seed), "--n", "20",
