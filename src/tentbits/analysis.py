@@ -295,7 +295,8 @@ def shannon_entropy(counts) -> EntropyResult:
         h = 0.0
     else:
         nz = probs[probs > 0]
-        h = float(-(nz * np.log(nz)).sum() / math.log(bins))
+        # every term -p ln p is >= 0; abs turns a lone 1 ln 1's -0.0 into 0.0
+        h = abs(float(-(nz * np.log(nz)).sum() / math.log(bins)))
     return EntropyResult(h=h, bins=bins, probabilities=tuple(float(p) for p in probs))
 
 
@@ -500,7 +501,8 @@ def write_divergence_csv(estimate: LyapunovEstimate, path) -> None:
 def write_return_map_csv(samples, path) -> None:
     """The first-return map of a 1-D series: rows (x[i], x[i+1]).
 
-    Each value is repr'd once and serves both of its rows.  Input that
+    Each value is formatted once, as repr prints it, by columns.floats
+    and serves both of its rows.  Input that
     is not 1-D, such as the (N-1, 2) array of first_return_pairs, is
     rejected rather than flattened into wrong rows.
     """

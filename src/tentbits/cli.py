@@ -87,7 +87,10 @@ def _trajectory(args) -> np.ndarray:
         circuit = nl.build_tent_netlist(args.width, perturbed=args.perturbed)
         return nl.run(circuit, args.seed, args.n)
     config = core.MapConfig(width=args.width, perturbed=args.perturbed)
-    return np.array(core.iterate(config, args.seed, args.n), np.uint64)
+    # allocated first, so an n numpy cannot hold fails before iterating
+    out = np.empty(args.n + 1, np.uint64)
+    out[:] = core.iterate(config, args.seed, args.n)
+    return out
 
 
 def _write_trajectory(words: np.ndarray, args) -> None:

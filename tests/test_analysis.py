@@ -80,6 +80,11 @@ class TestShannonEntropy:
     def test_single_bin_scores_zero(self):
         assert shannon_entropy([42]).h == 0.0
 
+    @pytest.mark.parametrize("counts", ([5, 0], [0, 7, 0], {0: 0, 1: 3}))
+    def test_one_loaded_slot_is_positive_zero(self, counts):
+        # 1 ln 1 sums to -0.0, which a report would print as "-0.0"
+        assert repr(shannon_entropy(counts).h) == "0.0"
+
     def test_rejects_bad_tables(self):
         with pytest.raises(ValueError):
             shannon_entropy([])

@@ -318,6 +318,18 @@ class TestAnalyze:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
 
+    @pytest.mark.parametrize("n", ("1", "3000"))
+    def test_one_loaded_bit_reports_positive_zero(self, tmp_path, capsys, n):
+        # seed 0 stays on the fixed point: every output bit is 0
+        argv = ["analyze", "--bits", "16", "--seed", "0", "--n", n,
+                "--tests", "entropy", "--out-dir", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        text = (tmp_path / "report.json").read_text()
+        assert "-0.0" not in text
+        entry = json.loads(text)["tests"][0]
+        assert math.copysign(1.0, entry["value"]) == 1.0
+        assert math.copysign(1.0, entry["details"]["value_entropy_64bin"]) == 1.0
+
     def test_unknown_test_exits_2(self, tmp_path, capsys):
         code = main(["analyze", "--bits", "16", "--seed", "0x5A3C", "--n", "100",
                      "--tests", "spectral", "--out-dir", str(tmp_path)])
@@ -479,6 +491,17 @@ def test_bad_width_is_one_line_error(argv, capsys):
     captured = capsys.readouterr()
     assert captured.err.splitlines() == ["error: width must be in [2, 64], got 1"]
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", (["gen"], ["netlist", "--simulate"], ["analyze"]))
+def test_n_past_any_array_is_one_line_error(tmp_path, capsys, command):
+    # numpy refuses 10**20 + 1 words before allocating anything, so the
+    # word model must fail the same way rather than grow a list
+    argv = [*command, "--bits", "16", "--seed", "0x5A3C", "--n", str(10**20)]
+    argv += ["--out-dir" if command == ["analyze"] else "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 @pytest.mark.parametrize(

@@ -200,6 +200,12 @@ class TestAnalysisCsvs:
     def test_return_map_of_any_pairs(self, tmp_path, series):
         assert_same_return_map(tmp_path, series)
 
+    def test_return_map_mixing_both_float_paths(self, tmp_path):
+        # rows that repr prints with and without an exponent, in one block
+        series = [0.5, 0.0, 1e-5, 0.3, float("nan"), -0.25, 1e20, 5e-324, 123.456,
+                  -1e-4, 9999999999999998.0, 1e16, -float("inf"), 0.1, -0.0, 2.0**-20]
+        assert_same_return_map(tmp_path, series)
+
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40))
     @example([0.3])
     def test_return_map_of_any_series(self, tmp_path_factory, series):
@@ -221,6 +227,108 @@ class TestAnalysisCsvs:
         analysis.write_cycle_reports_csv(table, 12, tmp_path / "out.csv")
         analysis.write_cycle_reports_csv(table, 12, "-")
         assert capsys.readouterr().out.encode() == (tmp_path / "out.csv").read_bytes()
+
+
+def float_rows(text) -> list[bytes]:
+    """The rows of a columns.floats matrix with their NUL bytes dropped."""
+    table = np.concatenate([text, np.full((len(text), 1), ord("\n"), np.uint8)], axis=1)
+    return table[table != 0].tobytes().split(b"\n")[:-1]
+
+
+def powers_of_two():
+    return np.ldexp(1.0, np.arange(-1074, 1024))
+
+
+class TestFloats:
+    """Every row of columns.floats holds the bytes repr prints."""
+
+    @staticmethod
+    def assert_reprs(values):
+        xs = np.asarray(values, dtype=float)
+        for start in range(0, len(xs), columns.BLOCK_ROWS):
+            block = xs[start : start + columns.BLOCK_ROWS]
+            text = columns.floats(block)
+            assert text.dtype == np.uint8 and text.shape[0] == len(block)
+            assert float_rows(text) == [repr(x).encode() for x in block.tolist()]
+
+    @given(st.lists(st.integers(0, (1 << 64) - 1), max_size=50))
+    def test_any_bit_pattern(self, patterns):
+        self.assert_reprs(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+    @given(st.lists(st.floats(), max_size=50))
+    def test_any_float(self, values):
+        self.assert_reprs(values)
+
+    def test_every_power_of_two_and_its_neighbours(self):
+        # exhaustive for the narrower lower gap of c = 2**52 that the
+        # formatter treats as regular
+        p = powers_of_two()
+        values = np.concatenate([p, np.nextafter(p, 0), np.nextafter(p, np.inf)])
+        self.assert_reprs(np.concatenate([values, -values]))
+
+    def test_edges_of_the_positional_range(self):
+        values = []
+        for edge in (1e-4, 1e16):
+            below = above = edge
+            for _ in range(3):
+                below, above = np.nextafter(below, 0), np.nextafter(above, np.inf)
+                values += [below, above]
+            values.append(edge)
+        self.assert_reprs(values + [-v for v in values])
+
+    def test_integers_near_two_to_the_53(self):
+        ints = [(1 << 53) + i for i in range(-40, 41)] + [(1 << 52) + i for i in range(-9, 10)]
+        ints += [10**15 + i for i in range(-9, 10)] + [10**16 - 2, 10**16 - 4]
+        self.assert_reprs([float(i) for i in ints] + [-float(i) for i in ints])
+
+    def test_ties_go_to_even(self):
+        # n + 1/4 and n + 3/4 are exact below 2**51, and each lies halfway
+        # between two 17-digit decimals that both round to it
+        values = [n + f for n in range(10**15, 10**15 + 50) for f in (0.25, 0.75)]
+        values += [n + f for n in range(2**51 - 50, 2**51) for f in (0.25, 0.75)]
+        assert {repr(v)[-1] for v in values} == {"2", "8"}
+        self.assert_reprs(values)
+
+    def test_decimal_families(self):
+        mantissas = ("1", "5", "9", "12345", "7.0000000000000001", "9007199254740993")
+        self.assert_reprs([float(f"{m}e{e}") for m in mantissas for e in range(-330, 310)])
+
+    def test_special_values(self):
+        nan = float("nan")
+        self.assert_reprs([0.0, -0.0, nan, -nan, float("inf"), -float("inf"), 5e-324])
+
+    def test_empty(self):
+        text = columns.floats(np.array([]))
+        assert text.dtype == np.uint8 and text.shape[0] == 0
+
+    def test_rows_across_sub_blocks(self):
+        # the widest digits of one sub-block set every row's columns
+        values = np.full(3 * columns.FLOAT_ROWS, 0.5)
+        values[5] = 0.12345678901234568
+        values[columns.FLOAT_ROWS + 7] = -123456789012345.6
+        values[2 * columns.FLOAT_ROWS + 9] = 1e-300
+        self.assert_reprs(values)
+
+    @pytest.mark.parametrize("k", (8, 32, 53, 64))
+    def test_decoded_words(self, k):
+        rng = np.random.default_rng(k)
+        words = rng.integers(0, (1 << k) - 1, 1 << 16, dtype=np.uint64, endpoint=True)
+        self.assert_reprs(decode_series(words, k))
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20)
+        patterns = rng.integers(0, 1 << 64, 10**6, dtype=np.uint64, endpoint=False)
+        self.assert_reprs(patterns.view(np.float64))
+
+    def test_random_positional_floats(self):
+        # random bit patterns hold few positional floats: draw exponents
+        # of 1e-4 .. 1e16 and both signs
+        rng = np.random.default_rng(21)
+        patterns = rng.integers(0, 1 << 64, 10**6, dtype=np.uint64, endpoint=False)
+        exponent = rng.integers(1023 - 14, 1023 + 54, 10**6).astype(np.uint64)
+        patterns &= np.uint64(0x800F_FFFF_FFFF_FFFF)
+        patterns |= exponent << np.uint64(52)
+        self.assert_reprs(patterns.view(np.float64))
 
 
 class TestDigits:
