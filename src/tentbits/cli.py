@@ -17,6 +17,7 @@ import json
 import math
 import secrets
 import sys
+from collections.abc import Iterator
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
@@ -35,6 +36,9 @@ LITERATURE_ROWS = (
     ("Sreenath & Narayanan (2018)", 32, 161),
     ("Sreenath & Narayanan (2018)", 64, 321),
 )
+
+# the largest --n: the states are indexed 0..n in the int64 csv index
+MAX_N = np.iinfo(np.int64).max
 
 # The run flags with the defaults `gen` gives them; `netlist` leaves
 # each one None unless given.
@@ -67,6 +71,8 @@ def _resolve(args) -> None:
         args.seed = core.check_word(seed, args.width)
     if n < 1:
         raise ValueError(f"need at least one step, got n={n}")
+    if n > MAX_N:
+        raise ValueError(f"need n at most 2**63 - 1, an int64 state index, got n={n}")
     if drawn:
         print(f"seed: {_seed_hex(args)}", file=sys.stderr)
 
@@ -80,43 +86,66 @@ def _warn_degenerate(args) -> None:
         )
 
 
-def _trajectory(args) -> np.ndarray:
-    """The run's n + 1 words as a uint64 array, from the circuit for the
-    netlist backend and from the word model otherwise."""
+def _trajectory(args) -> Iterator[np.ndarray]:
+    """The run's n + 1 words as consecutive uint64 blocks of
+    columns.BLOCK_ROWS words, the last one shorter; each block goes on
+    from the last word of the block before.
+
+    The word model gives each block by one core.iterate call, so
+    core.step runs n times in all and a block is all it holds.  The
+    netlist backend probes the circuit once: nl.run gives every word in
+    one array, 8 B per state, and the blocks are slices of it.  That run
+    happens here, before the caller opens its output.
+    """
     if args.backend == "netlist":
         circuit = nl.build_tent_netlist(args.width, perturbed=args.perturbed)
-        return nl.run(circuit, args.seed, args.n)
+        words = nl.run(circuit, args.seed, args.n)
+        return (words[start : start + columns.BLOCK_ROWS]
+                for start in range(0, len(words), columns.BLOCK_ROWS))
     config = core.MapConfig(width=args.width, perturbed=args.perturbed)
-    # allocated first, so an n numpy cannot hold fails before iterating
-    out = np.empty(args.n + 1, np.uint64)
-    out[:] = core.iterate(config, args.seed, args.n)
-    return out
+    return _word_blocks(config, args.seed, args.n)
 
 
-def _write_trajectory(words: np.ndarray, args) -> None:
+def _word_blocks(config, seed: int, n: int) -> Iterator[np.ndarray]:
+    # each list of ints is dropped once copied, so only one is ever alive
+    words = np.array(core.iterate(config, seed, min(n, columns.BLOCK_ROWS - 1)), np.uint64)
+    yield words
+    for start in range(columns.BLOCK_ROWS, n + 1, columns.BLOCK_ROWS):
+        # from the last word of the block before, which this block drops
+        steps = min(columns.BLOCK_ROWS, n + 1 - start)
+        words = np.array(core.iterate(config, int(words[-1]), steps)[1:], np.uint64)
+        yield words
+
+
+def _write_trajectory(blocks, args) -> None:
+    """Write the trajectory's blocks to --out, opened once, one block at
+    a time.  The bytes do not depend on where the blocks end: the csv
+    index runs on across them, and raw packs whole bytes, as
+    columns.BLOCK_ROWS is a multiple of 8."""
     digits = args.width.hex_digits
-    if args.format == "hex":
-        columns.write(args.out, None, len(words), lambda rows: [
-            columns.hexadecimal(words[rows], digits),
-        ])
-        return
-    if args.format == "csv":
-        values = core.decode_series(words, args.width)
-        columns.write(args.out, ["index", "word", "value"], len(words), lambda rows: [
-            columns.decimal(np.arange(rows.start, rows.stop)),
-            columns.hexadecimal(words[rows], digits, prefix=b"0x"),
-            columns.floats(values[rows]),
-        ])
-        return
-    bits = core.output_array(words, args.width, args.tap)
-    if args.format == "raw":
-        # high bits first; the tail byte is zero-padded
-        with columns.sink(args.out) as fh:
-            fh.write(np.packbits(bits).tobytes())
-        return
-    # bits: one ASCII "0" or "1" per line
-    bits += ord("0")
-    columns.write(args.out, None, len(bits), lambda rows: [bits[rows, None]])
+    with columns.sink(args.out) as fh:
+        if args.format == "csv":
+            fh.write(b"index,word,value\n")
+        start = 0
+        for words in blocks:
+            if args.format == "hex":
+                columns.write_block(fh, [columns.hexadecimal(words, digits)])
+            elif args.format == "csv":
+                columns.write_block(fh, [
+                    columns.decimal(start + np.arange(len(words))),
+                    columns.hexadecimal(words, digits, prefix=b"0x"),
+                    columns.floats(core.decode_series(words, args.width)),
+                ])
+            else:
+                bits = core.output_array(words, args.width, args.tap)
+                if args.format == "raw":
+                    # high bits first; the tail byte is zero-padded
+                    fh.write(np.packbits(bits).tobytes())
+                else:
+                    # bits: one ASCII "0" or "1" per line
+                    bits += ord("0")
+                    columns.write_block(fh, [bits[:, None]])
+            start += len(words)
 
 
 def cmd_gen(args) -> int:
@@ -250,7 +279,14 @@ def cmd_analyze(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    words = _trajectory(args)[1:]  # n generated states; the seed itself is echoed below
+    # the whole series, allocated before the first block is made
+    words = np.empty(args.n + 1, np.uint64)
+    start = 0
+    for block in _trajectory(args):
+        words[start : start + len(block)] = block
+        start += len(block)
+    del block  # a netlist block is a view that keeps the run's array alive
+    words = words[1:]  # n generated states; the seed itself is echoed below
     bits = core.output_array(words, args.width, args.tap)
     values = core.decode_series(words, args.width)
 

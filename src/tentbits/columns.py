@@ -4,17 +4,21 @@
 binary handle, so each output's lines end in "\\n" on every platform.
 
 A column of a block of rows is a (rows, width) uint8 matrix of ASCII
-bytes, with NUL bytes wherever a row has no character.  `write` copies
-a block's columns into one buffer filled with ",", whose last column
-is "\\n", drops every NUL with one boolean mask and writes the block in
-one call.  Integers get their digits from one vectorized loop over the
-array: a power-of-two base by mask and shift, base 10 by division, in
-32-bit words when the column's largest value fits in one.  Floats
-print as `repr` prints them.  Those that `repr` writes without an
-exponent, 1e-4 <= |x| < 1e16, get their shortest round-trip digits
-from Schubfach in uint64 arithmetic and are laid out at fixed decimal
-places; the rest (zeros, nan, infinities, subnormals and exponent
-forms) are repr'd one by one.  So no row is ever a Python tuple.
+bytes, with NUL bytes wherever a row has no character.  `write_block`
+copies a block's columns into one buffer filled with ",", whose last
+column is "\\n", drops every NUL with one boolean mask and writes the
+block in one call.  `write` renders a table of known length through it
+in blocks of BLOCK_ROWS rows; the CLI's trajectory writer hands it each
+block of states as the states are made, so a listing of any length
+holds one block at a time.  Integers get their digits from one
+vectorized loop over the array: a power-of-two base by mask and shift,
+base 10 by division, in 32-bit words when the column's largest value
+fits in one.  Floats print as `repr` prints them.  Those that `repr`
+writes without an exponent, 1e-4 <= |x| < 1e16, get their shortest
+round-trip digits from Schubfach in uint64 arithmetic and are laid out
+at fixed decimal places; the rest (zeros, nan, infinities, subnormals
+and exponent forms) are repr'd one by one.  So no row is ever a Python
+tuple.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from contextlib import nullcontext
 
 import numpy as np
 
-# rows per block: bounds the matrices whatever the table's length
+# rows per block: bounds the matrices whatever the table's length; a
+# multiple of 8, so a block of output bits packs into whole bytes
 BLOCK_ROWS = 1 << 16
 
 _ASCII_DIGITS = np.frombuffer(b"0123456789ABCDEF", np.uint8)
@@ -265,13 +270,19 @@ def write(path, header, length: int, render) -> None:
         if header is not None:
             fh.write(",".join(header).encode("ascii") + b"\n")
         for start in range(0, length, BLOCK_ROWS):
-            matrices = render(slice(start, min(start + BLOCK_ROWS, length)))
-            widths = [matrix.shape[1] for matrix in matrices]
-            rows, cols = len(matrices[0]), sum(widths) + len(widths)
-            table = np.full((rows, cols), ord(","), np.uint8)
-            table[:, -1] = ord("\n")
-            at = 0
-            for matrix, width in zip(matrices, widths):
-                table[:, at : at + width] = matrix
-                at += width + 1
-            fh.write(table[table != 0].tobytes())
+            write_block(fh, render(slice(start, min(start + BLOCK_ROWS, length))))
+
+
+def write_block(fh, matrices) -> None:
+    """Write one block of rows, given as its columns' matrices, to the
+    binary handle fh: the columns joined by ",", each row ended by
+    "\\n", every NUL dropped."""
+    widths = [matrix.shape[1] for matrix in matrices]
+    rows, cols = len(matrices[0]), sum(widths) + len(widths)
+    table = np.full((rows, cols), ord(","), np.uint8)
+    table[:, -1] = ord("\n")
+    at = 0
+    for matrix, width in zip(matrices, widths):
+        table[:, at : at + width] = matrix
+        at += width + 1
+    fh.write(table[table != 0].tobytes())

@@ -6,10 +6,12 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from tentbits import columns, core, netlist
 from tentbits.cli import EXIT_ALL_TESTS_FAILED, EXIT_OK, EXIT_USAGE, main
 from tentbits.core import MapConfig, iterate, output_array
 
@@ -494,14 +496,39 @@ def test_bad_width_is_one_line_error(argv, capsys):
 
 
 @pytest.mark.parametrize("command", (["gen"], ["netlist", "--simulate"], ["analyze"]))
-def test_n_past_any_array_is_one_line_error(tmp_path, capsys, command):
-    # numpy refuses 10**20 + 1 words before allocating anything, so the
-    # word model must fail the same way rather than grow a list
-    argv = [*command, "--bits", "16", "--seed", "0x5A3C", "--n", str(10**20)]
-    argv += ["--out-dir" if command == ["analyze"] else "--out", str(tmp_path / "out")]
-    assert main(argv) == EXIT_USAGE
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: "), err
+def test_n_past_any_array_is_one_line_error(tmp_path, capsys, monkeypatch, command):
+    # a state index past int64 is refused up front, before any state is
+    # made (gen streams its blocks and would otherwise run on) and before
+    # any output is created or truncated
+    def no_states(*args):
+        raise AssertionError("states made before the refusal")
+
+    monkeypatch.setattr(core, "iterate", no_states)
+    monkeypatch.setattr(netlist, "run", no_states)
+    for n in (2**63, 10**20):
+        argv = [*command, "--bits", "16", "--seed", "0x5A3C", "--n", str(n)]
+        argv += ["--out-dir" if command == ["analyze"] else "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert not (tmp_path / "out").exists()
+
+
+def test_gen_memory_is_flat_in_n(tmp_path):
+    # gen holds one block of states whatever n is; holding them all, the
+    # peak at 16 blocks was about 4 times the peak at 4.  8-bit words are
+    # Python's cached small ints, which keeps tracemalloc's cost down
+    peaks = []
+    for n in (4 * columns.BLOCK_ROWS, 16 * columns.BLOCK_ROWS):
+        argv = ["gen", "--bits", "8", "--seed", "0x5A", "--n", str(n),
+                "--format", "raw", "--out", str(tmp_path / "out")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1 << 20, peaks
 
 
 @pytest.mark.parametrize(

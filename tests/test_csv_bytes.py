@@ -66,14 +66,14 @@ def reference_cycle_reports(table, width, path) -> None:
     reference_csv(path, ["seed", "transient", "period", "reaches_zero"], rows)
 
 
-def reference_trajectory(words, k: int, fmt: str) -> bytes:
+def reference_trajectory(words, k: int, fmt: str, tap: str = "msb") -> bytes:
     digits = BitWidth(k).hex_digits
     if fmt == "raw":
-        return np.packbits(output_array(words, k)).tobytes()
+        return np.packbits(output_array(words, k, tap)).tobytes()
     if fmt == "hex":
         return "".join(f"{w:0{digits}X}\n" for w in words).encode()
     if fmt == "bits":
-        return "".join(f"{b}\n" for b in output_array(words, k)).encode()
+        return "".join(f"{b}\n" for b in output_array(words, k, tap)).encode()
     # Python's int division, independent of decode_series
     m = BitWidth(k).max_word
     lines = ["index,word,value"]
@@ -405,12 +405,20 @@ class TestCliListings:
                     assert main(argv) == EXIT_OK
                     assert capsysbinary.readouterr().out == want
 
-    @pytest.mark.parametrize("fmt", ("csv", "hex", "bits"))
+    @pytest.mark.parametrize("fmt", ("csv", "hex", "bits", "raw"))
     def test_gen_across_blocks(self, tmp_path, fmt):
-        n = columns.BLOCK_ROWS + 10
+        # n + 1 states on and around the block edges, from a seed whose
+        # orbit spans them and from one in a 7-cycle, shorter than a block
+        block = columns.BLOCK_ROWS
         out = tmp_path / "out"
-        argv = ["gen", "--bits", "64", "--seed", "0x123456789ABCDEF", "--n", str(n),
-                "--format", fmt, "--out", str(out)]
-        assert main(argv) == EXIT_OK
-        words = iterate(MapConfig(width=64), 0x123456789ABCDEF, n)
-        assert out.read_bytes() == reference_trajectory(words, 64, fmt)
+        for k, seed in ((64, 0x123456789ABCDEF), (4, 0x8)):
+            words = iterate(MapConfig(width=k), seed, 2 * block)
+            for n in (block - 2, block - 1, block, 2 * block):
+                for tap in ("msb", "lsb"):
+                    if tap == "msb" or fmt in ("bits", "raw"):  # csv and hex show no tap
+                        want = reference_trajectory(words[: n + 1], k, fmt, tap)
+                    for command in (["gen"], ["netlist", "--simulate"]):
+                        argv = [*command, "--bits", str(k), "--seed", hex(seed),
+                                "--n", str(n), "--tap", tap, "--format", fmt]
+                        assert main([*argv, "--out", str(out)]) == EXIT_OK
+                        assert out.read_bytes() == want, argv
