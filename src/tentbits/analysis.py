@@ -23,6 +23,9 @@ from . import columns
 from .core import BitWidth, MapConfig, as_width, check_word, step
 
 CYCLE_ENUM_MAX_WIDTH = 20
+# points per block of the Rosenstein sweep and divergence loop: bounds
+# their temporaries whatever the series' length
+SWEEP_ROWS = 1 << 14
 
 
 class EstimationError(ValueError):
@@ -110,6 +113,16 @@ def _nearest_neighbors(points: np.ndarray, theiler_window: int):
     (w = theiler_window), so ties go to the lower index.  A point with
     no partner is left out.  Returns (anchors, partners), anchors
     ascending.
+    """
+    partner = _partners(points, theiler_window)
+    anchors = np.flatnonzero(partner >= 0)
+    if not anchors.size:
+        raise EstimationError("no neighbor pairs satisfy the distance criteria")
+    return anchors, partner[anchors]
+
+
+def _partners(points: np.ndarray, w: int) -> np.ndarray:
+    """Each point's Rosenstein partner, -1 where it has none.
 
     An exact sweep.  The distinct points are sorted by their columns,
     first column first, and every point walks outward from its own on
@@ -122,76 +135,92 @@ def _nearest_neighbors(points: np.ndarray, theiler_window: int):
     or tie the best.  (|dx0| is no bound: where dx0 * dx0 is subnormal,
     its square root rounds below |dx0|.)
 
+    The walks go in blocks of SWEEP_ROWS sorted positions.  A walk reads
+    only shared arrays and writes only its own best (distance, j), so
+    the blocks cannot change a partner; they bound the walks' state and
+    temporaries.  Held per point: the sort order, ids and search keys,
+    the distinct points' columns, first members and starts, and the
+    partners, 48 B plus 8 B per column.
+
     Near-linear when the points lie along a curve over their first
     column, as a 1-D map's delay embedding does: a tent orbit of 65 535
-    points takes about 0.04 s on 2 CPUs.  A cloud spread over the plane
-    needs about sqrt(n) offsets per point: about 0.7-1.1 s at 65 536.
+    points takes about 0.02-0.04 s on 2 CPUs.  A cloud spread over the
+    plane needs about sqrt(n) offsets per point: about 0.7-1.2 s at
+    65 536.
     """
-    n, w = len(points), theiler_window
+    n = len(points)
     # lexsort is stable, so point v's indices, ascending, are
     # members[starts[v]:starts[v + 1]]
     members = np.lexsort(points.T[::-1])
-    ordered = points[members]
-    new = np.ones(n, dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    uniq, starts = ordered[new], np.append(np.flatnonzero(new), n)
-    sizes = np.diff(starts)
-    n_u = len(uniq)
+    new = np.zeros(n, dtype=bool)
+    new[:1] = True
+    for col in points.T:
+        ordered = col[members]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    del ordered
+    starts = np.flatnonzero(new)
+    n_u = len(starts)
     if n_u < 2:
         raise EstimationError("constant series has no distinct neighbors")
-    ids = np.cumsum(new) - 1
-    keys = ids * n + members
-    head = members[starts[:-1]]
+    head = members[starts]
+    starts = np.append(starts, n)
     # one contiguous array per column; a NaN past the last point (index
     # n_u, and -1 from the left) fails the bound and ends the walk
     coords = np.full((points.shape[1], n_u + 1), np.nan)
-    coords[:, :-1] = uniq.T
+    for coord, col in zip(coords, points.T):
+        coord[:-1] = col[head]
     first, rest = coords[0], coords[1:]
-    # the state is indexed by sorted position p, the point of row
-    # members[p], so the walks gather memory nearly in sequence
-    best_d, best_j = np.full(n, np.inf), np.full(n, -1)
-    walks = [np.arange(n), np.arange(n)]
-    offset = 0
-    while walks[0].size or walks[1].size:
-        offset += 1
-        # one side at a time: a point's two walks may both improve it
-        for side, shift in enumerate((-offset, offset)):
-            pos = walks[side]
-            u = ids[pos]
-            v = u + shift
-            gap = first[v] - first[u]
-            sq = gap * gap
-            # indices, not a mask: a random mask applied four times costs more
-            going = np.flatnonzero(np.sqrt(sq) <= best_d[pos])
-            pos, u, v, sq = pos[going], u[going], v[going], sq[going]
-            walks[side] = pos
-            for col in rest:
-                gap = col[v] - col[u]
-                sq += gap * gap
-            d = np.sqrt(sq)
-            # v's earliest index outside the window: its first one, unless
-            # that lies inside; then its first one after the window, which
-            # only a value with more than one member can have
-            rows, j = members[pos], head[v]
-            ok = np.abs(j - rows) > w
-            inside = np.flatnonzero(~ok & (sizes[v] > 1))
-            vi = v[inside]
-            after = np.searchsorted(keys, vi * n + rows[inside] + w, side="right")
-            ok[inside] = after < starts[vi + 1]
-            j[inside] = members[np.minimum(after, n - 1)]
-            ok &= d > 0.0
-            old_d = best_d[pos]
-            better = np.flatnonzero(
-                ok & ((d < old_d) | ((d == old_d) & (j < best_j[pos])))
-            )
-            best_d[pos[better]] = d[better]
-            best_j[pos[better]] = j[better]
-    partner = np.empty_like(best_j)
-    partner[members] = best_j
-    anchors = np.flatnonzero(partner >= 0)
-    if not anchors.size:
-        raise EstimationError("no neighbor pairs satisfy the distance criteria")
-    return anchors, partner[anchors]
+    ids = np.cumsum(new) - 1
+    del new
+    keys = ids * n
+    keys += members
+    partner = np.full(n, -1)
+    for start in range(0, n, SWEEP_ROWS):
+        # a walk is its index i in the block: the point of row
+        # block_rows[i], whose sorted position is start + i, so the
+        # walks gather memory nearly in sequence
+        block_ids = ids[start : start + SWEEP_ROWS]
+        block_rows = members[start : start + SWEEP_ROWS]
+        best_d = np.full(len(block_ids), np.inf)
+        best_j = np.full(len(block_ids), -1)
+        walks = [np.arange(len(block_ids))] * 2
+        offset = 0
+        while walks[0].size or walks[1].size:
+            offset += 1
+            # one side at a time: a point's two walks may both improve it
+            for side, shift in enumerate((-offset, offset)):
+                i = walks[side]
+                u = block_ids[i]
+                v = u + shift
+                gap = first[v] - first[u]
+                sq = gap * gap
+                # indices, not a mask: a random mask applied four times costs more
+                going = np.flatnonzero(np.sqrt(sq) <= best_d[i])
+                i, u, v, sq = i[going], u[going], v[going], sq[going]
+                walks[side] = i
+                for col in rest:
+                    gap = col[v] - col[u]
+                    sq += gap * gap
+                d = np.sqrt(sq)
+                # v's earliest index outside the window: its first one, unless
+                # that lies inside; then its first one after the window, which
+                # only a value with more than one member can have
+                rows, j = block_rows[i], head[v]
+                ok = np.abs(j - rows) > w
+                inside = np.flatnonzero(~ok)
+                vi = v[inside]
+                after = np.searchsorted(keys, vi * n + rows[inside] + w, side="right")
+                ok[inside] = after < starts[vi + 1]
+                j[inside] = members[np.minimum(after, n - 1)]
+                ok &= d > 0.0
+                old_d = best_d[i]
+                better = np.flatnonzero(
+                    ok & ((d < old_d) | ((d == old_d) & (j < best_j[i])))
+                )
+                best_d[i[better]] = d[better]
+                best_j[i[better]] = j[better]
+        partner[block_rows] = best_j
+    return partner
 
 
 def lyapunov_rosenstein(
@@ -213,6 +242,13 @@ def lyapunov_rosenstein(
     A pair's squared differences are summed in embedding order, the
     order numpy sums a row of up to 7 columns in; from embed_dim 8 on,
     numpy would sum a row pairwise, so the last bits can differ.
+
+    The embedding is a view of the series, and both the partner sweep
+    and the divergence loop go in blocks of SWEEP_ROWS points, so the
+    working memory is a fixed block plus the sweep's 48 + 8 * embed_dim
+    bytes per point (64 B at embed_dim 2); the divergence loop holds
+    32 B per pair and 8 B per pair for each of the (embed_dim - 1) *
+    delay gaps a later step reads again.
     """
     xs = np.asarray(samples, dtype=float).ravel()
     if xs.size < 1000:
@@ -232,30 +268,41 @@ def lyapunov_rosenstein(
             f"embed_dim={embed_dim} and delay={delay} need at least "
             f"{span + 2} samples, got {xs.size}"
         )
-    points = np.column_stack([xs[j * delay : j * delay + n] for j in range(embed_dim)])
+    # row i is xs[i], xs[i + delay], ..., with no copy of the series
+    points = np.lib.stride_tricks.sliding_window_view(xs, span + 1)[:, ::delay]
     anchors, partners = _nearest_neighbors(points, theiler_window)
 
-    def gap(t):
-        # xs[a + t] - xs[p + t] for every pair; an index past the series
-        # is clipped, and limit drops its row before it is read
+    def gap(block, t):
+        # xs[a + t] - xs[p + t] for the block's pairs; an index past the
+        # series is clipped, and limit drops its row before it is read
         ahead = xs[t:]
-        return np.take(ahead, anchors, mode="clip") - np.take(ahead, partners, mode="clip")
+        return (np.take(ahead, anchors[block], mode="clip")
+                - np.take(ahead, partners[block], mode="clip"))
 
-    # step s reads gap(s + j * delay) for j < embed_dim: each gap is
-    # gathered once and kept while a later step reads it
+    # pair i's points are in the series up to step limit[i] - 1
     limit = n - np.maximum(anchors, partners)
-    gaps = [gap(t) for t in range(span)]
     steps = np.arange(max_steps + 1)
     curve = np.full(max_steps + 1, np.nan)
+    # step s reads gap(s + j * delay) for j < embed_dim: each block's
+    # gaps are gathered once and kept while a later step reads them
+    blocks = [slice(start, start + SWEEP_ROWS) for start in range(0, len(anchors), SWEEP_ROWS)]
+    gaps = [[gap(block, t) for t in range(span)] for block in blocks]
+    # one step's log-distances in pair order, block by block, so a
+    # single mean reads the array the whole-series loop would read
+    logs = np.empty(len(anchors))
     for s in range(min(max_steps + 1, int(limit.max()))):
-        gaps.append(gap(s + span))
-        sq = gaps[0] * gaps[0]
-        for g in gaps[delay::delay]:
-            sq += g * g
-        sq = sq[(limit > s) & (sq > 0.0)]
-        if sq.size:
-            curve[s] = float(np.log(np.sqrt(sq)).mean())
-        del gaps[0]
+        count = 0
+        for block, held in zip(blocks, gaps):
+            held.append(gap(block, s + span))
+            sq = held[0] * held[0]
+            for g in held[delay::delay]:
+                sq += g * g
+            del held[0]
+            kept = sq[(limit[block] > s) & (sq > 0.0)]
+            np.log(np.sqrt(kept), out=logs[count : count + len(kept)])
+            count += len(kept)
+        if count:
+            curve[s] = float(logs[:count].mean())
 
     window = curve[lo : hi + 1]
     if np.isnan(window).any():

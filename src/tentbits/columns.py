@@ -8,9 +8,11 @@ bytes, with NUL bytes wherever a row has no character.  `write_block`
 copies a block's columns into one buffer filled with ",", whose last
 column is "\\n", drops every NUL with one boolean mask and writes the
 block in one call.  `write` renders a table of known length through it
-in blocks of BLOCK_ROWS rows; the CLI's trajectory writer hands it each
-block of states as the states are made, so a listing of any length
-holds one block at a time.  Integers get their digits from one
+in blocks of FLOAT_ROWS rows, the float formatter's own sub-block, so a
+table's matrices stay near 1 MB whatever its length; the CLI's
+trajectory writer hands it each block of BLOCK_ROWS states as the
+states are made, so a listing of any length holds one such block at a
+time.  Integers get their digits from one
 vectorized loop over the array: a power-of-two base by mask and shift,
 base 10 by division, in 32-bit words when the column's largest value
 fits in one.  Floats print as `repr` prints them.  Those that `repr`
@@ -29,8 +31,9 @@ from contextlib import nullcontext
 
 import numpy as np
 
-# rows per block: bounds the matrices whatever the table's length; a
-# multiple of 8, so a block of output bits packs into whole bytes
+# states per block of a trajectory listing: bounds its matrices whatever
+# its length; a multiple of 8, so a block of output bits packs into
+# whole bytes
 BLOCK_ROWS = 1 << 16
 
 _ASCII_DIGITS = np.frombuffer(b"0123456789ABCDEF", np.uint8)
@@ -42,7 +45,8 @@ def strings(values: np.ndarray) -> np.ndarray:
 
 
 # floats that repr prints positionally, and the sub-block that bounds
-# the formatter's uint64 temporaries near 1 MB
+# the formatter's uint64 temporaries near 1 MB; `write`'s tables go in
+# blocks of as many rows
 _FIXED_MIN, _FIXED_MAX = 1e-4, 1e16
 FLOAT_ROWS = 1 << 13
 # decimal layout: up to 17 significant digits at places 10^16 .. 10^-20
@@ -261,7 +265,7 @@ def sink(path):
 
 def write(path, header, length: int, render) -> None:
     """Write a header line (unless header is None), then rows 0..length-1,
-    to sink(path).
+    to sink(path), in blocks of FLOAT_ROWS rows.
 
     render(rows) gives the columns of the rows in the slice rows, one
     matrix each.
@@ -269,8 +273,8 @@ def write(path, header, length: int, render) -> None:
     with sink(path) as fh:
         if header is not None:
             fh.write(",".join(header).encode("ascii") + b"\n")
-        for start in range(0, length, BLOCK_ROWS):
-            write_block(fh, render(slice(start, min(start + BLOCK_ROWS, length))))
+        for start in range(0, length, FLOAT_ROWS):
+            write_block(fh, render(slice(start, min(start + FLOAT_ROWS, length))))
 
 
 def write_block(fh, matrices) -> None:
@@ -285,4 +289,4 @@ def write_block(fh, matrices) -> None:
     for matrix, width in zip(matrices, widths):
         table[:, at : at + width] = matrix
         at += width + 1
-    fh.write(table[table != 0].tobytes())
+    fh.write(table[table != 0])

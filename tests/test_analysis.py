@@ -560,6 +560,27 @@ class TestDivergenceCurve:
         xs = divergence_series(kind, 2000, embed_dim)
         self._check(xs, embed_dim, 1, 10, 12, exact=False)
 
+    @pytest.mark.parametrize("block", (1, 7, 64))
+    def test_any_block_size(self, monkeypatch, block):
+        # a step's log-distances go into one buffer block by block, so
+        # its mean reads the whole-series array; near the end whole
+        # blocks of pairs have left the series
+        monkeypatch.setattr(analysis, "SWEEP_ROWS", block)
+        for embed_dim in (1, 2):
+            self.test_pairs_drop_out_near_the_end(embed_dim, 30)
+        if block == 1:  # a walk and a gather per point: seconds per series
+            return
+        self.test_pairs_drop_out_near_the_end(3, 700)
+        for kind, embed_dim, delay, w in (
+            ("random", 2, 1, 10), ("quantized", 3, 2, 0), ("tent", 2, 1, 10),
+        ):
+            self._check(divergence_series(kind, 1000, block), embed_dim, delay, w, 12)
+
+    def test_tent_series_over_three_blocks(self):
+        n = 3 * analysis.SWEEP_ROWS + 5
+        xs = decode_series(iterate(MapConfig(width=32), 0x12345678, n)[1:], 32)
+        self._check(xs, 2, 1, 10, 12)
+
 
 def brute_force_partners(points, w):
     """O(n^2) reference: argmin (distance, j) over distance > 0, |i - j| > w."""
@@ -661,6 +682,36 @@ class TestNearestNeighbors:
         xs = decode_series(iterate(MapConfig(width=k), seed, 2000)[1:], k)
         n = len(xs) - embed_dim + 1
         self._check(np.column_stack([xs[j : j + n] for j in range(embed_dim)]), w)
+
+    @pytest.mark.parametrize("block", (1, 7, 64))
+    def test_any_block_size(self, monkeypatch, block):
+        # a walk reads only shared arrays and writes only its own best,
+        # so no block of sorted positions, down to one, moves a partner
+        monkeypatch.setattr(analysis, "SWEEP_ROWS", block)
+        for w in (15, 20):
+            self.test_ties_past_the_query_go_to_lower_index(w)
+        self.test_points_without_partner_are_left_out()
+        for seed in range(2):
+            self.test_scaled_points_match_brute_force(1e-160, seed)
+        for w in (0, 10, 20):
+            self.test_four_bit_orbit(w)
+            if block > 1:  # one walk per block: seconds per 1500-point cloud
+                self.test_continuous_points(w)
+                self.test_tie_heavy_lattice(w)
+                self.test_single_and_repeated_points(w)
+
+    @pytest.mark.parametrize("k,seed", [(8, 0x40), (32, 0x12345678)], ids=("k8", "k32"))
+    def test_three_blocks_and_five_match_one_block(self, monkeypatch, k, seed):
+        # too many points for the brute force: the real blocks against
+        # one block that holds every point
+        n = 3 * analysis.SWEEP_ROWS + 5
+        xs = decode_series(iterate(MapConfig(width=k), seed, n + 1)[1:], k)
+        points = np.column_stack([xs[:-1], xs[1:]])
+        got = _nearest_neighbors(points, 10)
+        monkeypatch.setattr(analysis, "SWEEP_ROWS", n)
+        want = _nearest_neighbors(points, 10)
+        for got_part, want_part in zip(got, want):
+            np.testing.assert_array_equal(got_part, want_part)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)

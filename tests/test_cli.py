@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from tentbits import columns, core, netlist
+from tentbits import analysis, columns, core, netlist
 from tentbits.cli import EXIT_ALL_TESTS_FAILED, EXIT_OK, EXIT_USAGE, main
-from tentbits.core import MapConfig, iterate, output_array
+from tentbits.core import MapConfig, decode_series, iterate, output_array
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -529,6 +529,35 @@ def test_gen_memory_is_flat_in_n(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 1 << 20, peaks
+
+
+def traced_peak(call, *args) -> int:
+    """The tracemalloc peak of one call, in bytes."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lyapunov_memory_per_point():
+    # the sweep holds 64 B per point at embed_dim 2 and the rest is one
+    # block of points; the whole-series sweep peaked near 245 B per point
+    n = 1 << 17
+    values = decode_series(iterate(MapConfig(width=32), 0x12345678, n)[1:], 32)
+    peak = traced_peak(analysis.lyapunov_rosenstein, values)
+    assert peak < 100 * n, peak / n
+
+
+def test_return_map_memory_is_flat_in_rows(tmp_path):
+    # the table is written one block of columns.FLOAT_ROWS rows at a time
+    values = decode_series(iterate(MapConfig(width=32), 0x12345678, (1 << 18) + 1)[1:], 32)
+    peaks = [
+        traced_peak(analysis.write_return_map_csv, values[: rows + 1], tmp_path / "rm.csv")
+        for rows in (1 << 15, 1 << 18)
+    ]
+    assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks
 
 
 @pytest.mark.parametrize(

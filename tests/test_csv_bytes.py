@@ -128,6 +128,27 @@ class TestCycleReports:
             k,
         )
 
+    def test_table_over_several_blocks(self, tmp_path):
+        # 3 table blocks and 5 rows, of 64-bit seeds
+        rows = 3 * columns.FLOAT_ROWS + 5
+        rng = np.random.default_rng(63)
+        table = CycleTable(
+            seed=rng.integers(0, 1 << 64, rows, dtype=np.uint64, endpoint=False),
+            transient=rng.integers(0, 1 << 40, rows),
+            period=rng.integers(1, 1 << 20, rows),
+            reaches_zero=rng.random(rows) < 0.5,
+        )
+        analysis.write_cycle_reports_csv(table, 64, tmp_path / "cycles.csv")
+        want = "".join(
+            f"0x{seed:016X},{transient},{period},{str(zero).lower()}\n"
+            for seed, transient, period, zero in zip(
+                table.seed.tolist(), table.transient.tolist(),
+                table.period.tolist(), table.reaches_zero.tolist(),
+            )
+        )
+        text = (tmp_path / "cycles.csv").read_text()
+        assert text == "seed,transient,period,reaches_zero\n" + want
+
     def test_seeds_straddling_two_to_the_63(self, tmp_path):
         table = CycleTable(
             seed=np.array([5, (1 << 64) - 1], dtype=np.uint64),
@@ -183,11 +204,15 @@ class TestAnalysisCsvs:
             assert_same_return_map(tmp_path, series)
 
     def test_return_map_across_blocks(self, tmp_path):
-        # more rows than one block, so x_next of a block's last row is
-        # the first value of the next block
-        n = columns.BLOCK_ROWS + 10
-        values = decode_series(iterate(MapConfig(width=32), 0x12345678, n)[1:], 32)
-        assert_same_return_map(tmp_path, values)
+        # rows on and around the edges of the table blocks, so x_next of
+        # a block's last row is the first value of the next block
+        block = columns.FLOAT_ROWS
+        values = decode_series(iterate(MapConfig(width=32), 0x12345678, 3 * block + 6)[1:], 32)
+        for rows in (block - 1, block, block + 1, 3 * block + 5):
+            series = values[: rows + 1].tolist()
+            analysis.write_return_map_csv(values[: rows + 1], tmp_path / "rm.csv")
+            want = "".join(f"{x!r},{y!r}\n" for x, y in zip(series, series[1:]))
+            assert (tmp_path / "rm.csv").read_text() == "x_n,x_next\n" + want, rows
 
     @pytest.mark.parametrize(
         "series",
