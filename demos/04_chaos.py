@@ -45,7 +45,7 @@ write_divergence_csv(exact_estimate, "divergence.csv")
 words = iterate(MapConfig(width=8), 0x40, 2000)
 series = decode_series(words, 8)
 pairs = first_return_pairs(series)
-worst = max(abs(x_next - tent_exact(x_now)) for x_now, x_next in pairs)
+worst = np.abs(pairs[:, 1] - tent_exact(pairs[:, 0])).max()
 print(f"\nfirst-return pairs: {len(pairs)}, max distance from the tent graph "
       f"{worst:.6f} (one step of the last place is {1 / 255:.6f})")
 write_return_map_csv(series, "return_map.csv")

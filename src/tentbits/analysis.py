@@ -393,11 +393,11 @@ def histogram(samples, bins: int) -> HistogramResult:
 
 
 def first_return_pairs(samples) -> np.ndarray:
-    """Consecutive pairs (x_n, x_{n+1}) as an (N-1, 2) array."""
+    """Consecutive pairs (x_n, x_{n+1}): a read-only (N-1, 2) view, no copy."""
     xs = np.asarray(samples, dtype=float).ravel()
     if xs.size < 2:
         raise ValueError("need at least two samples for return pairs")
-    return np.column_stack([xs[:-1], xs[1:]])
+    return np.lib.stride_tricks.sliding_window_view(xs, 2)
 
 
 def cycle_detect(config: MapConfig, seed: int) -> tuple[int, int, bool]:

@@ -243,9 +243,7 @@ def _analyze_histogram(bits, values, out_dir: Path, args) -> dict:
 def _analyze_return_map(bits, values, out_dir: Path, args) -> dict:
     pairs = analysis.first_return_pairs(values)
     analysis.write_return_map_csv(values, out_dir / "return_map.csv")
-    # core.tent_exact on floats: same branches, same rounding
-    x, x_next = pairs[:, 0], pairs[:, 1]
-    deviation = np.abs(x_next - np.where(x < 0.5, 2 * x, 2 * (1 - x))).max()
+    deviation = np.abs(pairs[:, 1] - core.tent_exact(pairs[:, 0])).max()
     return {
         "test": "return-map",
         "parameters": {},

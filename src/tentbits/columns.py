@@ -8,11 +8,12 @@ bytes, with NUL bytes wherever a row has no character.  `write_block`
 copies a block's columns into one buffer filled with ",", whose last
 column is "\\n", drops every NUL with one boolean mask and writes the
 block in one call.  `write` renders a table of known length through it
-in blocks of FLOAT_ROWS rows, the float formatter's own sub-block, so a
-table's matrices stay near 1 MB whatever its length; the CLI's
-trajectory writer hands it each block of BLOCK_ROWS states as the
-states are made, so a listing of any length holds one such block at a
-time.  Integers get their digits from one
+in blocks of FLOAT_ROWS rows, so a table's matrices stay near 1 MB
+whatever its length; the float formatter works in sub-blocks of
+FLOAT_ROWS + 1 values, so a return-map block (its rows and the next
+x_n) is one sub-block.  The CLI's trajectory writer hands it each block
+of BLOCK_ROWS states as the states are made, so a listing of any length
+holds one such block at a time.  Integers get their digits from one
 vectorized loop over the array: a power-of-two base by mask and shift,
 base 10 by division, in 32-bit words when the column's largest value
 fits in one.  Floats print as `repr` prints them.  Those that `repr`
@@ -44,9 +45,9 @@ def strings(values: np.ndarray) -> np.ndarray:
     return values.view(np.uint8).reshape(len(values), values.itemsize)
 
 
-# floats that repr prints positionally, and the sub-block that bounds
-# the formatter's uint64 temporaries near 1 MB; `write`'s tables go in
-# blocks of as many rows
+# floats that repr prints positionally, and the rows of `write`'s
+# blocks; the formatter's sub-blocks of FLOAT_ROWS + 1 values bound its
+# uint64 temporaries near 1 MB
 _FIXED_MIN, _FIXED_MAX = 1e-4, 1e16
 FLOAT_ROWS = 1 << 13
 # decimal layout: up to 17 significant digits at places 10^16 .. 10^-20
@@ -74,8 +75,8 @@ def floats(values) -> np.ndarray:
     out = np.zeros((len(xs), _WIDTH + reprs.shape[1]), np.uint8)
     # the units and first fraction places show in every positional row
     top, bottom = 0, -1
-    for start in range(0, len(xs), FLOAT_ROWS):
-        rows = slice(start, start + FLOAT_ROWS)
+    for start in range(0, len(xs), FLOAT_ROWS + 1):
+        rows = slice(start, start + FLOAT_ROWS + 1)
         block_top, block_bottom = _positional(fixed[rows], out[rows])
         top, bottom = max(top, block_top), min(bottom, block_bottom)
     # drop the NUL columns left and right of every row; the sign column

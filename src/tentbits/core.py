@@ -26,8 +26,6 @@ import numpy as np
 MIN_WIDTH = 2
 MAX_WIDTH = 64
 
-_HALF = Fraction(1, 2)
-
 
 @dataclass(frozen=True)
 class BitWidth:
@@ -95,7 +93,8 @@ def decode(w: int, width: BitWidth | int) -> float:
 
 
 def decode_exact(w: int, width: BitWidth | int) -> Fraction:
-    """Exact rational value of a state word, lossless at every width."""
+    """Exact rational value of a state word, lossless at every width.
+    Kept as specification: the acceptance suite's exact reading."""
     width = as_width(width)
     return Fraction(check_word(w, width), width.max_word)
 
@@ -117,7 +116,8 @@ def encode(x: float | Fraction, width: BitWidth | int) -> int:
 
 
 def complement(w: int, width: BitWidth | int) -> int:
-    """Bitwise complement within k bits: the polarized form of 1 - x."""
+    """Bitwise complement within k bits: the polarized form of 1 - x.
+    Kept as specification: the tests check step's inlined copy against it."""
     width = as_width(width)
     return check_word(w, width) ^ width.max_word
 
@@ -127,6 +127,7 @@ def perturbation_bit(w: int, width: BitWidth | int) -> int:
 
     Complementing w flips both bits, so the value is unchanged; it may
     be computed before or after the conditional complement of a step.
+    Kept as specification: the tests check step's inlined copy against it.
     """
     w = check_word(w, width)
     return (w ^ (w >> 1)) & 1
@@ -164,16 +165,14 @@ def iterate(config: MapConfig, w0: int, n: int) -> list[int]:
 def tent_exact(x):
     """Reference slope-2 tent map on the unit interval: 2x below 1/2, else 2(1-x).
 
-    The breakpoint belongs to the upper branch, so tent_exact(1/2) is
-    2 * (1 - 1/2) = 1.  Arithmetic follows the argument type:
+    The breakpoint belongs to the upper branch, so tent_exact(1/2) is 1.
     Fraction in, Fraction out, which keeps long reference trajectories
-    exact.
+    exact; floats and float arrays map elementwise, with the branches'
+    bits: 1 - x is exact for x >= 1/2 (Sterbenz) and exceeds x below 1/2.
     """
-    if not 0 <= x <= 1:
+    if not np.all((0 <= x) & (x <= 1)):
         raise ValueError(f"value {x!r} outside [0, 1]")
-    if x < _HALF:
-        return 2 * x
-    return 2 * (1 - x)
+    return 2 * np.minimum(x, 1 - x)
 
 
 def _word_array(words, width: BitWidth) -> np.ndarray:

@@ -413,6 +413,13 @@ class TestFirstReturnPairs:
     def test_length_two_series(self):
         assert first_return_pairs([0.3, 0.6]).shape == (1, 2)
 
+    def test_read_only_view_of_the_series(self):
+        xs = np.linspace(0.0, 1.0, 1000)
+        pairs = first_return_pairs(xs)
+        assert np.shares_memory(pairs, xs)
+        assert not pairs.flags.writeable
+        assert np.array_equal(pairs, np.column_stack([xs[:-1], xs[1:]]))
+
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             first_return_pairs([0.5])

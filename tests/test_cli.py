@@ -9,9 +9,10 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from tentbits import analysis, columns, core, netlist
+from tentbits import analysis, cli, columns, core, netlist
 from tentbits.cli import EXIT_ALL_TESTS_FAILED, EXIT_OK, EXIT_USAGE, main
 from tentbits.core import MapConfig, decode_series, iterate, output_array
 
@@ -558,6 +559,16 @@ def test_return_map_memory_is_flat_in_rows(tmp_path):
         for rows in (1 << 15, 1 << 18)
     ]
     assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks
+
+
+def test_return_map_test_memory_per_point(tmp_path):
+    # the pairs are a view of the series, so the peak is the tent map's
+    # float temporaries; the (N - 1, 2) copy and np.where form read 41 B
+    n = 1 << 19
+    words = np.random.default_rng(19).integers(0, 1 << 32, n, dtype=np.uint64)
+    values = decode_series(words, 32)
+    peak = traced_peak(cli._analyze_return_map, None, values, tmp_path, None)
+    assert peak <= 20 * n, peak / n
 
 
 @pytest.mark.parametrize(

@@ -306,10 +306,27 @@ class TestTentExact:
         x = Fraction(1, 3)
         assert tent_exact(x) == Fraction(2, 3)
         assert tent_exact(tent_exact(x)) == Fraction(2, 3)
+        assert type(tent_exact(x)) is type(tent_exact(Fraction(5, 7))) is Fraction
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             tent_exact(1.5)
+
+    def test_float_array_has_the_branches_bits(self):
+        # 2 * min(x, 1 - x) against the two-branch form, bit for bit
+        edges = [0.0, -0.0, 5e-324, np.finfo(float).tiny, np.nextafter(0.5, 0), 0.5,
+                 np.nextafter(0.5, 1), np.nextafter(1, 0), 1.0]
+        rng = np.random.default_rng(23)
+        x = np.concatenate([edges, rng.random(10**6)])
+        branches = np.where(x < 0.5, 2 * x, 2 * (1 - x))
+        assert np.array_equal(tent_exact(x).view(np.uint64), branches.view(np.uint64))
+
+    @pytest.mark.parametrize("bad", (-1e-300, 1.0000000000000002, math.nan))
+    def test_array_with_one_bad_value_rejected(self, bad):
+        x = np.linspace(0.0, 1.0, 101)
+        x[37] = bad
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            tent_exact(x)
 
 
 class TestOutputBits:

@@ -214,6 +214,21 @@ class TestAnalysisCsvs:
             want = "".join(f"{x!r},{y!r}\n" for x, y in zip(series, series[1:]))
             assert (tmp_path / "rm.csv").read_text() == "x_n,x_next\n" + want, rows
 
+    def test_return_map_block_is_one_formatter_pass(self, tmp_path, monkeypatch):
+        # a table block's FLOAT_ROWS rows need FLOAT_ROWS + 1 values, one
+        # sub-block of columns.floats: 8 passes for 8 blocks, not 15
+        passes = []
+        positional = columns._positional
+
+        def counted(xs, out):
+            passes.append(len(xs))
+            return positional(xs, out)
+
+        monkeypatch.setattr(columns, "_positional", counted)
+        values = np.random.default_rng(8).random(1 << 16)
+        analysis.write_return_map_csv(values, tmp_path / "rm.csv")
+        assert passes == [columns.FLOAT_ROWS + 1] * 7 + [columns.FLOAT_ROWS]
+
     @pytest.mark.parametrize(
         "series",
         [
