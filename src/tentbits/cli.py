@@ -86,20 +86,28 @@ def _warn_degenerate(args) -> None:
         )
 
 
+def _orbit(args) -> np.ndarray:
+    """The run's n + 1 words as one uint64 array, 8 B per state: the orbit
+    of the GF(2) map of one circuit clock (netlist backend) or core.step."""
+    if args.backend == "netlist":
+        circuit = nl.build_tent_netlist(args.width, perturbed=args.perturbed)
+        return nl.run(circuit, args.seed, args.n)
+    config = core.MapConfig(width=args.width, perturbed=args.perturbed)
+    return core.affine_map(config).orbit_array(args.seed, args.n)
+
+
 def _trajectory(args) -> Iterator[np.ndarray]:
     """The run's n + 1 words as consecutive uint64 blocks of
     columns.BLOCK_ROWS words, the last one shorter; each block goes on
     from the last word of the block before.
 
-    The word model gives each block by one core.iterate call, so
-    core.step runs n times in all and a block is all it holds.  The
-    netlist backend probes the circuit once: nl.run gives every word in
-    one array, 8 B per state, and the blocks are slices of it.  That run
-    happens here, before the caller opens its output.
+    The word model gives each block by one core.iterate call, so a block
+    is all it holds and core.step runs n times, the count the benchmark's
+    traced stream workload predicts.  The netlist backend slices _orbit's
+    array, made here, before the caller opens its output.
     """
     if args.backend == "netlist":
-        circuit = nl.build_tent_netlist(args.width, perturbed=args.perturbed)
-        words = nl.run(circuit, args.seed, args.n)
+        words = _orbit(args)
         return (words[start : start + columns.BLOCK_ROWS]
                 for start in range(0, len(words), columns.BLOCK_ROWS))
     config = core.MapConfig(width=args.width, perturbed=args.perturbed)
@@ -277,14 +285,7 @@ def cmd_analyze(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # the whole series, allocated before the first block is made
-    words = np.empty(args.n + 1, np.uint64)
-    start = 0
-    for block in _trajectory(args):
-        words[start : start + len(block)] = block
-        start += len(block)
-    del block  # a netlist block is a view that keeps the run's array alive
-    words = words[1:]  # n generated states; the seed itself is echoed below
+    words = _orbit(args)[1:]  # n generated states; the seed is echoed below
     bits = core.output_array(words, args.width, args.tap)
     values = core.decode_series(words, args.width)
 

@@ -23,6 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .gf2 import AffineMap
+
 MIN_WIDTH = 2
 MAX_WIDTH = 64
 
@@ -162,6 +164,12 @@ def iterate(config: MapConfig, w0: int, n: int) -> list[int]:
     return out
 
 
+def affine_map(config: MapConfig) -> AffineMap:
+    """step(config, .) as a GF(2) map, probed with k + 1 steps.  A step is
+    linear, so the constant is 0 and each orbit equals iterate's."""
+    return AffineMap.from_probe(lambda w: step(config, w), config.width.k)
+
+
 def tent_exact(x):
     """Reference slope-2 tent map on the unit interval: 2x below 1/2, else 2(1-x).
 
@@ -170,9 +178,10 @@ def tent_exact(x):
     exact; floats and float arrays map elementwise, with the branches'
     bits: 1 - x is exact for x >= 1/2 (Sterbenz) and exceeds x below 1/2.
     """
-    if not np.all((0 <= x) & (x <= 1)):
+    array = isinstance(x, np.ndarray)  # a scalar skips numpy's 0-d object arrays
+    if not (np.all((0 <= x) & (x <= 1)) if array else 0 <= x <= 1):
         raise ValueError(f"value {x!r} outside [0, 1]")
-    return 2 * np.minimum(x, 1 - x)
+    return 2 * (np.minimum if array else min)(x, 1 - x)
 
 
 def _word_array(words, width: BitWidth) -> np.ndarray:

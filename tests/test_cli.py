@@ -359,6 +359,26 @@ class TestAnalyze:
         assert (dir_a / "report.json").read_bytes() == (dir_b / "report.json").read_bytes()
         assert (dir_a / "autocorr.csv").read_bytes() == (dir_b / "autocorr.csv").read_bytes()
 
+    def test_series_is_one_orbit_not_one_step_per_state(self, tmp_path, monkeypatch, capsys):
+        # the word series comes from the map probed off k + 1 steps; a
+        # step per state would be 65 536 calls
+        calls = []
+        real_step = core.step
+
+        def counted(config, w):
+            calls.append(w)
+            return real_step(config, w)
+
+        monkeypatch.setattr(core, "step", counted)
+        argv = ["analyze", "--bits", "32", "--seed", "0x12345678", "--n", "65536",
+                "--tests", "entropy", "--out-dir", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        assert len(calls) <= 32 + 1
+        entry = json.loads((tmp_path / "report.json").read_text())["tests"][0]
+        words = iterate(MapConfig(width=32), 0x12345678, 65536)[1:]
+        counts = np.bincount(output_array(words, 32), minlength=2).tolist()
+        assert entry["details"]["bit_counts"] == counts
+
     def test_csv_files_use_lf_line_endings(self, tmp_path, capsys):
         code = main(["analyze", "--bits", "16", "--seed", "0x5A3C", "--n", "4096",
                      "--out-dir", str(tmp_path)])
@@ -504,8 +524,9 @@ def test_n_past_any_array_is_one_line_error(tmp_path, capsys, monkeypatch, comma
     def no_states(*args):
         raise AssertionError("states made before the refusal")
 
-    monkeypatch.setattr(core, "iterate", no_states)
-    monkeypatch.setattr(netlist, "run", no_states)
+    monkeypatch.setattr(core, "iterate", no_states)  # gen
+    monkeypatch.setattr(core, "affine_map", no_states)  # analyze
+    monkeypatch.setattr(netlist, "run", no_states)  # either, on the netlist backend
     for n in (2**63, 10**20):
         argv = [*command, "--bits", "16", "--seed", "0x5A3C", "--n", str(n)]
         argv += ["--out-dir" if command == ["analyze"] else "--out", str(tmp_path / "out")]

@@ -292,6 +292,27 @@ class TestIterate:
         assert calls == words[:-1]
 
 
+class TestAffineMap:
+    @pytest.mark.parametrize("perturbed", (True, False))
+    @pytest.mark.parametrize("k", range(2, 65))
+    def test_orbit_is_iterate(self, k, perturbed):
+        config = MapConfig(width=k, perturbed=perturbed)
+        f = core.affine_map(config)
+        assert f.constant == 0
+        m = (1 << k) - 1
+        mixed = int("10" * 32, 2) >> (64 - k)
+        for n in (1, k - 1, k, k + 1, 257):
+            for seed in (0, m, 1, 1 << (k - 1), mixed, 0x5A3C96E1F00D1235 & m):
+                assert f.orbit_array(seed, n).tolist() == iterate(config, seed, n)
+
+    def test_orbit_past_a_short_cycle(self):
+        # the bare map at 8 bits falls onto a 4-cycle from 0x5A
+        config = MapConfig(width=8, perturbed=False)
+        words = iterate(config, 0x5A, 100)
+        assert len(set(words)) == 4
+        assert core.affine_map(config).orbit_array(0x5A, 100).tolist() == words
+
+
 class TestTentExact:
     def test_linear_branch(self):
         assert tent_exact(0.25) == 0.5
@@ -308,9 +329,14 @@ class TestTentExact:
         assert tent_exact(tent_exact(x)) == Fraction(2, 3)
         assert type(tent_exact(x)) is type(tent_exact(Fraction(5, 7))) is Fraction
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            tent_exact(1.5)
+    def test_fraction_breakpoint(self):
+        assert tent_exact(Fraction(1, 2)) == 1
+        assert type(tent_exact(Fraction(1, 2))) is Fraction
+
+    @pytest.mark.parametrize("bad", (1.5, -0.25, math.nan, Fraction(3, 2), Fraction(-1, 7)))
+    def test_rejects_out_of_range(self, bad):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            tent_exact(bad)
 
     def test_float_array_has_the_branches_bits(self):
         # 2 * min(x, 1 - x) against the two-branch form, bit for bit
