@@ -13,7 +13,6 @@ written from the series itself.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -322,22 +321,18 @@ def shannon_entropy(counts) -> EntropyResult:
 
     Probabilities are counts over the total; the log base is the number
     of table slots, so a uniform table scores exactly 1 and a single
-    loaded slot scores 0.  Mappings are read in sorted key order.
+    loaded slot scores 0.
     """
-    if isinstance(counts, Mapping):
-        values = [counts[key] for key in sorted(counts)]
-    else:
-        values = list(counts)
-    if not values:
+    arr = np.asarray(counts, dtype=float)
+    if not len(arr):
         raise ValueError("empty frequency table")
-    arr = np.asarray(values, dtype=float)
     if (arr < 0).any():
         raise ValueError("negative count in frequency table")
     total = arr.sum()
     if total <= 0:
         raise ValueError("frequency table has no observations")
     probs = arr / total
-    bins = len(values)
+    bins = len(arr)
     if bins == 1:
         h = 0.0
     else:

@@ -98,8 +98,8 @@ def _orbit(args) -> np.ndarray:
 
 def _trajectory(args) -> Iterator[np.ndarray]:
     """The run's n + 1 words as consecutive uint64 blocks of
-    columns.BLOCK_ROWS words, the last one shorter; each block goes on
-    from the last word of the block before.
+    columns.BLOCK_ROWS words, the rows of every table block, the last one
+    shorter; each block goes on from the last word of the block before.
 
     The word model gives each block by one core.iterate call, so a block
     is all it holds and core.step runs n times, the count the benchmark's
@@ -127,9 +127,9 @@ def _word_blocks(config, seed: int, n: int) -> Iterator[np.ndarray]:
 
 def _write_trajectory(blocks, args) -> None:
     """Write the trajectory's blocks to --out, opened once, one block at
-    a time.  The bytes do not depend on where the blocks end: the csv
-    index runs on across them, and raw packs whole bytes, as
-    columns.BLOCK_ROWS is a multiple of 8."""
+    a time, each formatted in one pass.  The bytes do not depend on where
+    the blocks end: the csv index runs on across them, and raw packs
+    whole bytes, as columns.BLOCK_ROWS is a multiple of 8."""
     digits = args.width.hex_digits
     with columns.sink(args.out) as fh:
         if args.format == "csv":

@@ -7,13 +7,12 @@ A column of a block of rows is a (rows, width) uint8 matrix of ASCII
 bytes, with NUL bytes wherever a row has no character.  `write_block`
 copies a block's columns into one buffer filled with ",", whose last
 column is "\\n", drops every NUL with one boolean mask and writes the
-block in one call.  `write` renders a table of known length through it
-in blocks of FLOAT_ROWS rows, so a table's matrices stay near 1 MB
-whatever its length; the float formatter works in sub-blocks of
-FLOAT_ROWS + 1 values, so a return-map block (its rows and the next
-x_n) is one sub-block.  The CLI's trajectory writer hands it each block
-of BLOCK_ROWS states as the states are made, so a listing of any length
-holds one such block at a time.  Integers get their digits from one
+block in one call.  Every table and listing goes through it in blocks
+of BLOCK_ROWS rows: `write` renders a table of known length block by
+block, and the CLI's trajectory writer hands it each block of states as
+the states are made, so the matrices stay near 1 MB whatever the
+length.  Each caller bounds its own block, so the float formatter takes
+what it is given in one pass.  Integers get their digits from one
 vectorized loop over the array: a power-of-two base by mask and shift,
 base 10 by division, in 32-bit words when the column's largest value
 fits in one.  Floats print as `repr` prints them.  Those that `repr`
@@ -32,10 +31,10 @@ from contextlib import nullcontext
 
 import numpy as np
 
-# states per block of a trajectory listing: bounds its matrices whatever
-# its length; a multiple of 8, so a block of output bits packs into
-# whole bytes
-BLOCK_ROWS = 1 << 16
+# rows per block of every table and listing: bounds their matrices
+# whatever the length; a multiple of 8, so a block of output bits packs
+# into whole bytes
+BLOCK_ROWS = 1 << 13
 
 _ASCII_DIGITS = np.frombuffer(b"0123456789ABCDEF", np.uint8)
 
@@ -45,11 +44,8 @@ def strings(values: np.ndarray) -> np.ndarray:
     return values.view(np.uint8).reshape(len(values), values.itemsize)
 
 
-# floats that repr prints positionally, and the rows of `write`'s
-# blocks; the formatter's sub-blocks of FLOAT_ROWS + 1 values bound its
-# uint64 temporaries near 1 MB
+# floats that repr prints positionally
 _FIXED_MIN, _FIXED_MAX = 1e-4, 1e16
-FLOAT_ROWS = 1 << 13
 # decimal layout: up to 17 significant digits at places 10^16 .. 10^-20
 # (Schubfach's exponent k is in [-20, 0] on the positional range), in
 # columns sign, places 16..0, ".", places -1..-20
@@ -73,12 +69,7 @@ def floats(values) -> np.ndarray:
     fixed = xs.copy()
     fixed[slow] = 1.0
     out = np.zeros((len(xs), _WIDTH + reprs.shape[1]), np.uint8)
-    # the units and first fraction places show in every positional row
-    top, bottom = 0, -1
-    for start in range(0, len(xs), FLOAT_ROWS + 1):
-        rows = slice(start, start + FLOAT_ROWS + 1)
-        block_top, block_bottom = _positional(fixed[rows], out[rows])
-        top, bottom = max(top, block_top), min(bottom, block_bottom)
+    top, bottom = _positional(fixed, out)
     # drop the NUL columns left and right of every row; the sign column
     # stays if a positional row is negative, and repr rows start at first
     first = 0 if out[:, 0].any() else _POINT - 1 - top
@@ -190,7 +181,9 @@ def _shortest(xs):
 
 def _positional(xs, out):
     """Write repr of floats with 1e-4 <= |x| < 1e16 into out's first
-    _WIDTH columns; give the highest and lowest place written."""
+    _WIDTH columns; give the highest and lowest place written, at least
+    the units and first fraction places, which every positional row
+    shows."""
     d, k = _shortest(xs)
     rows = len(xs)
     # d's 17 digits, zero-padded, between _LOWEST zeros each side; the
@@ -265,17 +258,16 @@ def sink(path):
 
 
 def write(path, header, length: int, render) -> None:
-    """Write a header line (unless header is None), then rows 0..length-1,
-    to sink(path), in blocks of FLOAT_ROWS rows.
+    """Write a header line, then rows 0..length-1, to sink(path), in
+    blocks of BLOCK_ROWS rows.
 
     render(rows) gives the columns of the rows in the slice rows, one
     matrix each.
     """
     with sink(path) as fh:
-        if header is not None:
-            fh.write(",".join(header).encode("ascii") + b"\n")
-        for start in range(0, length, FLOAT_ROWS):
-            write_block(fh, render(slice(start, min(start + FLOAT_ROWS, length))))
+        fh.write(",".join(header).encode("ascii") + b"\n")
+        for start in range(0, length, BLOCK_ROWS):
+            write_block(fh, render(slice(start, min(start + BLOCK_ROWS, length))))
 
 
 def write_block(fh, matrices) -> None:

@@ -167,7 +167,9 @@ def iterate(config: MapConfig, w0: int, n: int) -> list[int]:
 def affine_map(config: MapConfig) -> AffineMap:
     """step(config, .) as a GF(2) map, probed with k + 1 steps.  A step is
     linear, so the constant is 0 and each orbit equals iterate's."""
-    return AffineMap.from_probe(lambda w: step(config, w), config.width.k)
+    return AffineMap.from_probe(
+        lambda words: [step(config, w) for w in words], config.width.k
+    )
 
 
 def tent_exact(x):

@@ -2,8 +2,10 @@
 
 A map w -> M.w ^ c is stored as the k columns of M (column j is the
 image of the one-bit word 1 << j) and the constant c.  A clock function
-that is affine, such as a run cycle of the register circuit, is read
-off k + 1 calls by `AffineMap.from_probe`.
+that is affine, such as a step of the word model or a run cycle of the
+register circuit, is read off its images of the k + 1 words 0 and
+1 << j by `AffineMap.from_probe`, asked for in one call so that a
+bit-parallel simulator clocks them all in one pass.
 
 `orbit_array` computes a run of the map by recursive doubling (Kogge
 and Stone, IEEE Trans. Computers C-22, 1973): once the first L words
@@ -42,15 +44,17 @@ class AffineMap:
             raise ValueError(f"a column or the constant does not fit in {self.k} bits")
 
     @classmethod
-    def from_probe(cls, f: Callable[[int], int], k: int) -> AffineMap:
-        """The map of an affine clock function f, from k + 1 calls.
+    def from_probe(cls, f: Callable[[list[int]], list[int]], k: int) -> AffineMap:
+        """The map of an affine clock function, from one call of f.
 
-        The constant is f(0) and column j is f(1 << j) ^ f(0).  Nothing
-        checks that f is affine; for one that is not, the result agrees
-        with f only on the probed words.
+        f is given the words [0, 1 << 0, ..., 1 << (k - 1)] and returns
+        their images.  The constant is the image of 0 and column j is the
+        image of 1 << j xor the constant.  Nothing checks that the clock
+        is affine; for one that is not, the result agrees with it only on
+        the probed words.
         """
-        constant = f(0)
-        return cls(k, tuple(f(1 << j) ^ constant for j in range(k)), constant)
+        constant, *images = f([0, *(1 << j for j in range(k))])
+        return cls(k, tuple(x ^ constant for x in images), constant)
 
     def compose(self, other: AffineMap) -> AffineMap:
         """The map w -> self(other(w)): other is applied first."""

@@ -42,7 +42,7 @@ def seed(k: int) -> str:
 def grid() -> list[list[str]]:
     argvs = []
     for k in (2, 8, 16, 32, 53, 54, 64):
-        # at k = 16 the n + 1 states cross columns.BLOCK_ROWS = 65 536
+        # at k = 16 the n + 1 states cross 65 536, 8 blocks of columns.BLOCK_ROWS = 8 192
         n = 65_540 if k == 16 else 1_000
         for variant in VARIANTS:
             for fmt in ("bits", "hex", "csv", "raw"):
@@ -65,7 +65,7 @@ def grid() -> list[list[str]]:
     for k in (8, 16, 32, 53, 64):
         for variant in VARIANTS:
             for backend in ("word", "netlist"):
-                # 20 000 rows cross columns.FLOAT_ROWS = 8 192 twice
+                # 20 000 rows cross columns.BLOCK_ROWS = 8 192 twice
                 argvs.append(["analyze", "--tests", "return-map", "--bits", str(k),
                               "--seed", seed(k), "--n", "20000", "--variant", variant,
                               "--backend", backend, "--out-dir", "."])

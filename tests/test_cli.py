@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tentbits import analysis, cli, columns, core, netlist
+from tentbits import analysis, cli, core, netlist
 from tentbits.cli import EXIT_ALL_TESTS_FAILED, EXIT_OK, EXIT_USAGE, main
 from tentbits.core import MapConfig, decode_series, iterate, output_array
 
@@ -538,10 +538,11 @@ def test_n_past_any_array_is_one_line_error(tmp_path, capsys, monkeypatch, comma
 
 def test_gen_memory_is_flat_in_n(tmp_path):
     # gen holds one block of states whatever n is; holding them all, the
-    # peak at 16 blocks was about 4 times the peak at 4.  8-bit words are
-    # Python's cached small ints, which keeps tracemalloc's cost down
+    # peak at 1 048 576 states was about 4 times the peak at 262 144.
+    # 8-bit words are Python's cached small ints, which keeps
+    # tracemalloc's cost down
     peaks = []
-    for n in (4 * columns.BLOCK_ROWS, 16 * columns.BLOCK_ROWS):
+    for n in (262_144, 1_048_576):
         argv = ["gen", "--bits", "8", "--seed", "0x5A", "--n", str(n),
                 "--format", "raw", "--out", str(tmp_path / "out")]
         tracemalloc.start()
@@ -573,7 +574,7 @@ def test_lyapunov_memory_per_point():
 
 
 def test_return_map_memory_is_flat_in_rows(tmp_path):
-    # the table is written one block of columns.FLOAT_ROWS rows at a time
+    # the table is written one block of columns.BLOCK_ROWS rows at a time
     values = decode_series(iterate(MapConfig(width=32), 0x12345678, (1 << 18) + 1)[1:], 32)
     peaks = [
         traced_peak(analysis.write_return_map_csv, values[: rows + 1], tmp_path / "rm.csv")

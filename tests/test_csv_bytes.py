@@ -130,7 +130,7 @@ class TestCycleReports:
 
     def test_table_over_several_blocks(self, tmp_path):
         # 3 table blocks and 5 rows, of 64-bit seeds
-        rows = 3 * columns.FLOAT_ROWS + 5
+        rows = 3 * columns.BLOCK_ROWS + 5
         rng = np.random.default_rng(63)
         table = CycleTable(
             seed=rng.integers(0, 1 << 64, rows, dtype=np.uint64, endpoint=False),
@@ -206,7 +206,7 @@ class TestAnalysisCsvs:
     def test_return_map_across_blocks(self, tmp_path):
         # rows on and around the edges of the table blocks, so x_next of
         # a block's last row is the first value of the next block
-        block = columns.FLOAT_ROWS
+        block = columns.BLOCK_ROWS
         values = decode_series(iterate(MapConfig(width=32), 0x12345678, 3 * block + 6)[1:], 32)
         for rows in (block - 1, block, block + 1, 3 * block + 5):
             series = values[: rows + 1].tolist()
@@ -215,8 +215,8 @@ class TestAnalysisCsvs:
             assert (tmp_path / "rm.csv").read_text() == "x_n,x_next\n" + want, rows
 
     def test_return_map_block_is_one_formatter_pass(self, tmp_path, monkeypatch):
-        # a table block's FLOAT_ROWS rows need FLOAT_ROWS + 1 values, one
-        # sub-block of columns.floats: 8 passes for 8 blocks, not 15
+        # a table block's BLOCK_ROWS rows need BLOCK_ROWS + 1 values, one
+        # pass of columns.floats: 8 passes for 8 blocks, not 15
         passes = []
         positional = columns._positional
 
@@ -227,7 +227,7 @@ class TestAnalysisCsvs:
         monkeypatch.setattr(columns, "_positional", counted)
         values = np.random.default_rng(8).random(1 << 16)
         analysis.write_return_map_csv(values, tmp_path / "rm.csv")
-        assert passes == [columns.FLOAT_ROWS + 1] * 7 + [columns.FLOAT_ROWS]
+        assert passes == [columns.BLOCK_ROWS + 1] * 7 + [columns.BLOCK_ROWS]
 
     @pytest.mark.parametrize(
         "series",
@@ -341,13 +341,16 @@ class TestFloats:
         text = columns.floats(np.array([]))
         assert text.dtype == np.uint8 and text.shape[0] == 0
 
-    def test_rows_across_sub_blocks(self):
-        # the widest digits of one sub-block set every row's columns
-        values = np.full(3 * columns.FLOAT_ROWS, 0.5)
+    def test_widest_rows_of_one_pass(self):
+        # one pass over 3 blocks' values: the widest digits anywhere in it
+        # set every row's columns, and each row still reads as its repr
+        values = np.full(3 * columns.BLOCK_ROWS, 0.5)
         values[5] = 0.12345678901234568
-        values[columns.FLOAT_ROWS + 7] = -123456789012345.6
-        values[2 * columns.FLOAT_ROWS + 9] = 1e-300
-        self.assert_reprs(values)
+        values[columns.BLOCK_ROWS + 7] = -123456789012345.6
+        values[2 * columns.BLOCK_ROWS + 9] = 1e-300
+        text = columns.floats(values)
+        assert text.shape[0] == len(values)
+        assert float_rows(text) == [repr(x).encode() for x in values.tolist()]
 
     @pytest.mark.parametrize("k", (8, 32, 53, 64))
     def test_decoded_words(self, k):

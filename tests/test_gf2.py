@@ -51,13 +51,26 @@ class TestAffineMap:
         def f(w):
             return ((w << 3 | w >> 9) & 0xFFF) ^ 0x801
 
-        m = AffineMap.from_probe(f, 12)
+        m = AffineMap.from_probe(lambda words: [f(w) for w in words], 12)
         assert m.constant == 0x801
         assert m.columns[0] == 0b1000
         assert m.columns[11] == 0b100
         rnd = random.Random(5)
         for w in (rnd.getrandbits(12) for _ in range(200)):
             assert _apply(m, w) == f(w)
+
+    @pytest.mark.parametrize("k", (1, 12, 64))
+    def test_from_probe_is_one_call(self, k):
+        # one call with every probed word, so a bit-parallel clock can
+        # take them all in one pass: 0, then 1 << j in order of j
+        calls = []
+
+        def f(words):
+            calls.append(list(words))
+            return words
+
+        assert AffineMap.from_probe(f, k) == _identity(k)
+        assert calls == [[0, *(1 << j for j in range(k))]]
 
     def test_identity_and_validation(self):
         assert _sequential(_identity(5), 0b10110, 3) == [0b10110] * 4

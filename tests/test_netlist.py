@@ -1,14 +1,13 @@
 """Circuit-model tests: census, structure, simulation, text round-trip."""
 
 import random
-from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tentbits.core import BitWidth, MapConfig, iterate, step
+from tentbits.core import BitWidth, MapConfig, affine_map, iterate, step
 from tentbits.gf2 import AffineMap
 from tentbits.netlist import (
     DFF,
@@ -18,7 +17,6 @@ from tentbits.netlist import (
     Netlist,
     StructuralError,
     _clock_lanes,
-    _load_and_cycle,
     _topo_order,
     _transpose,
     build_tent_netlist,
@@ -323,11 +321,20 @@ def _hand_edited(k, edits):
 
 
 def _run_cycle_map(circuit, seed):
-    """The affine map of one run cycle, probed at gate level."""
+    """The affine map of one run cycle, from k + 1 one-lane clocks."""
     order = _topo_order(circuit)
-    k = circuit.width.k
     return AffineMap.from_probe(
-        lambda w: _clock_lanes(circuit, order, [w], seed, 0)[0], k
+        lambda words: [_clock_lanes(circuit, order, [w], seed, 0)[0] for w in words],
+        circuit.width.k,
+    )
+
+
+def _lane_pass_map(circuit, seed):
+    """The affine map of one run cycle, from one pass in k + 1 lanes, as
+    run reads it."""
+    order = _topo_order(circuit)
+    return AffineMap.from_probe(
+        lambda words: _clock_lanes(circuit, order, words, seed, 0), circuit.width.k
     )
 
 
@@ -343,7 +350,7 @@ class TestAffineRun:
         # seed, and the run cycle's map equals the word model's linear step,
         # so run == iterate for every seed and n
         config = MapConfig(width=k, perturbed=perturbed)
-        model = AffineMap.from_probe(partial(step, config), k)
+        model = affine_map(config)
         assert model.constant == 0
         top = (1 << k) - 1
         samples = [(i * 0x9E3779B97F4A7C15) & top for i in range(1, 9)]
@@ -392,28 +399,21 @@ class TestAffineRun:
         edit_sets = [(), ("serial",), ("load",), ("cross",), ("serial", "load", "cross")]
         seed = 0b10  # seed{k-2} is set, so the serial edit's constant is 1
         maps = [_run_cycle_map(_hand_edited(k, edits), seed) for edits in edit_sets]
-        assert maps[0] == AffineMap.from_probe(partial(step, MapConfig(k)), k)
+        assert maps[0] == affine_map(MapConfig(k))
         assert len(set(maps)) == len(edit_sets)
 
 
-def _scalar_load_and_cycle(circuit, order, seed):
-    """The loaded word and the run cycle's map from k + 2 one-lane clocks."""
-    return _clock_lanes(circuit, order, [0], seed, 1)[0], _run_cycle_map(circuit, seed)
-
-
 class TestLanePass:
-    """run's one bit-parallel gate pass gives what k + 2 scalar clocks give."""
+    """run's one bit-parallel probe pass gives the map that k + 1 scalar
+    clocks give."""
 
     @pytest.mark.parametrize("perturbed", (True, False))
     @pytest.mark.parametrize("k", range(2, 65))
     def test_lanes_equal_scalar_clocks(self, k, perturbed):
         circuit = build_tent_netlist(k, perturbed=perturbed)
-        order = _topo_order(circuit)
         top = (1 << k) - 1
         for seed in (0, top, top >> 1, 0x9E3779B97F4A7C15 & top):
-            lanes = _load_and_cycle(circuit, order, seed)
-            assert lanes == _scalar_load_and_cycle(circuit, order, seed)
-            assert lanes[0] == seed
+            assert _lane_pass_map(circuit, seed) == _run_cycle_map(circuit, seed)
 
     @pytest.mark.parametrize(
         "edits",
@@ -422,15 +422,11 @@ class TestLanePass:
     @pytest.mark.parametrize("k", (4, 9, 17))
     def test_lanes_equal_scalar_clocks_on_hand_edits(self, k, edits):
         circuit = _hand_edited(k, edits)
-        order = _topo_order(circuit)
         top = (1 << k) - 1
         # 0b10 sets seed{k-2}, so the serial edit gives the constant 1
         for seed in (0, top, 0b10, 0x9E3779B97F4A7C15 & top):
-            lanes = _load_and_cycle(circuit, order, seed)
-            assert lanes == _scalar_load_and_cycle(circuit, order, seed)
-        assert _load_and_cycle(circuit, order, 0b10)[1].constant == (
-            1 if "serial" in edits else 0
-        )
+            assert _lane_pass_map(circuit, seed) == _run_cycle_map(circuit, seed)
+        assert _lane_pass_map(circuit, 0b10).constant == (1 if "serial" in edits else 0)
 
     @pytest.mark.parametrize("perturbed", (True, False))
     @pytest.mark.parametrize("k", (2, 5, 8, 33, 64))
