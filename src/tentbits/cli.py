@@ -97,21 +97,34 @@ def _orbit(args) -> np.ndarray:
 
 
 def _trajectory(args) -> Iterator[np.ndarray]:
-    """The run's n + 1 words as consecutive uint64 blocks of
-    columns.BLOCK_ROWS words, the rows of every table block, the last one
-    shorter; each block goes on from the last word of the block before.
+    """The blocks --format writes, of columns.BLOCK_ROWS states each, the
+    rows of every table block, the last one shorter: the tap bit of each
+    state as uint8 for raw and bits, and the uint64 word for hex and csv.
+    Each block goes on from the last state of the block before.
 
-    The word model gives each block by one core.iterate call, so a block
-    is all it holds and core.step runs n times, the count the benchmark's
-    traced stream workload predicts.  The netlist backend slices _orbit's
-    array, made here, before the caller opens its output.
+    The word model gives each block of words by one core.iterate call,
+    so a block is all it holds and core.step runs n times, the count the
+    benchmark's traced stream workload predicts; raw and bits tap each
+    block with core.output_array.  The netlist backend makes its run
+    cycle's map before the caller opens its output.  For raw and bits it
+    streams the tap bits from that map (AffineMap.bit_blocks), so it too
+    holds two blocks; for hex and csv it slices _orbit's array.
     """
+    tapped = args.format in ("raw", "bits")
+    if args.backend == "netlist" and tapped:
+        circuit = nl.build_tent_netlist(args.width, perturbed=args.perturbed)
+        loaded, cycle = nl.run_map(circuit, args.seed)
+        shift = core.tap_shift(args.width, args.tap)
+        return cycle.bit_blocks(loaded, args.n, shift, columns.BLOCK_ROWS)
     if args.backend == "netlist":
         words = _orbit(args)
         return (words[start : start + columns.BLOCK_ROWS]
                 for start in range(0, len(words), columns.BLOCK_ROWS))
     config = core.MapConfig(width=args.width, perturbed=args.perturbed)
-    return _word_blocks(config, args.seed, args.n)
+    blocks = _word_blocks(config, args.seed, args.n)
+    if tapped:
+        return (core.output_array(words, args.width, args.tap) for words in blocks)
+    return blocks
 
 
 def _word_blocks(config, seed: int, n: int) -> Iterator[np.ndarray]:
@@ -126,8 +139,8 @@ def _word_blocks(config, seed: int, n: int) -> Iterator[np.ndarray]:
 
 
 def _write_trajectory(blocks, args) -> None:
-    """Write the trajectory's blocks to --out, opened once, one block at
-    a time, each formatted in one pass.  The bytes do not depend on where
+    """Write _trajectory's blocks to --out, opened once, one block at a
+    time, each formatted in one pass.  The bytes do not depend on where
     the blocks end: the csv index runs on across them, and raw packs
     whole bytes, as columns.BLOCK_ROWS is a multiple of 8."""
     digits = args.width.hex_digits
@@ -135,25 +148,23 @@ def _write_trajectory(blocks, args) -> None:
         if args.format == "csv":
             fh.write(b"index,word,value\n")
         start = 0
-        for words in blocks:
+        for block in blocks:
             if args.format == "hex":
-                columns.write_block(fh, [columns.hexadecimal(words, digits)])
+                columns.write_block(fh, [columns.hexadecimal(block, digits)])
             elif args.format == "csv":
                 columns.write_block(fh, [
-                    columns.decimal(start + np.arange(len(words))),
-                    columns.hexadecimal(words, digits, prefix=b"0x"),
-                    columns.floats(core.decode_series(words, args.width)),
+                    columns.decimal(start + np.arange(len(block))),
+                    columns.hexadecimal(block, digits, prefix=b"0x"),
+                    columns.floats(core.decode_series(block, args.width)),
                 ])
+            elif args.format == "raw":
+                # tap bits, high bits first; the tail byte is zero-padded
+                fh.write(np.packbits(block).tobytes())
             else:
-                bits = core.output_array(words, args.width, args.tap)
-                if args.format == "raw":
-                    # high bits first; the tail byte is zero-padded
-                    fh.write(np.packbits(bits).tobytes())
-                else:
-                    # bits: one ASCII "0" or "1" per line
-                    bits += ord("0")
-                    columns.write_block(fh, [bits[:, None]])
-            start += len(words)
+                # bits: one ASCII "0" or "1" per line
+                block += ord("0")
+                columns.write_block(fh, [block[:, None]])
+            start += len(block)
 
 
 def cmd_gen(args) -> int:

@@ -219,21 +219,25 @@ def _word_array(words, width: BitWidth) -> np.ndarray:
     return array
 
 
+def tap_shift(width: BitWidth | int, tap: str) -> int:
+    """The bit a tap reads: k - 1 for `msb`, the branch-decision bit of
+    the map, and 0 for `lsb`, the freshly injected serial bit."""
+    if tap == "msb":
+        return as_width(width).k - 1
+    if tap == "lsb":
+        return 0
+    raise ValueError(f"unknown tap {tap!r}, expected 'msb' or 'lsb'")
+
+
 def output_array(words, width: BitWidth | int, tap: str = "msb") -> np.ndarray:
     """Binary output bits for a word sequence, as a uint8 array.
 
-    The default tap is the most significant bit (the branch-decision
-    bit of the map); `lsb` taps the freshly injected serial bit instead.
-    The words, a sequence of ints or an integer array (left unchanged),
-    are checked once, in one pass over them all.
+    The default tap is the most significant bit; see tap_shift.  The
+    words, a sequence of ints or an integer array (left unchanged), are
+    checked once, in one pass over them all.
     """
     width = as_width(width)
-    if tap == "msb":
-        shift = width.k - 1
-    elif tap == "lsb":
-        shift = 0
-    else:
-        raise ValueError(f"unknown tap {tap!r}, expected 'msb' or 'lsb'")
+    shift = tap_shift(width, tap)
     array = _word_array(words, width)
     # shifted straight into the result: the words are not written to, and
     # no second uint64 array is made; the unsafe cast keeps the low byte

@@ -18,7 +18,7 @@ and uses them both for its block and to square M^L for the next round.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +102,39 @@ class AffineMap:
             if done <= n:
                 jump = jump._compose(tables, jump)
         return out
+
+    def bit_blocks(self, w: int, n: int, bit: int, rows: int) -> Iterator[np.ndarray]:
+        """Bit `bit` of each of the n + 1 words w, f(w), ..., f^n(w), as
+        uint8 blocks of `rows` bits, the last one shorter.
+
+        Only the first block's words are computed (by orbit_array, before
+        this returns, so a bad w or n raises here); each later block is
+        the parity of those words ANDed with the tap row of f^(t * rows),
+        xor its constant bit (see the module docstring).  It holds two
+        blocks, whatever n is.
+        """
+        if not 0 <= bit < self.k:
+            raise ValueError(f"need a bit in 0..{self.k - 1}, got bit={bit}")
+        if rows < 1:
+            raise ValueError(f"need rows >= 1, got rows={rows}")
+        first = self.orbit_array(w, min(n, rows - 1))
+        return self._bit_blocks(first, n, bit, rows)
+
+    def _bit_blocks(
+        self, first: np.ndarray, n: int, bit: int, rows: int
+    ) -> Iterator[np.ndarray]:
+        """bit_blocks, given its first block of words."""
+        row, flip = 1 << bit, 0  # bit `bit` of f^0: the tap row of the identity
+        jump = self.power(rows) if n >= rows else None
+        for start in range(0, n + 1, rows):
+            if start:
+                flip ^= (row & jump.constant).bit_count() & 1
+                row = sum(((row & column).bit_count() & 1) << j
+                          for j, column in enumerate(jump.columns))
+            bits = np.bitwise_count(first[: n + 1 - start] & np.uint64(row))
+            bits &= 1
+            bits ^= flip
+            yield bits
 
     def _tables(self) -> np.ndarray:
         """Row j, entry x: M applied to x << 8j, one row per byte of a word."""

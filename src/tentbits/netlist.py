@@ -16,18 +16,19 @@ carries an int whose bit p is its value in lane p, so an XOR gate is `^`
 and the multiplexer is `b ^ (sel & (a ^ b))`.  Combinational nets settle
 in topological order, then all flip-flops latch at once.
 
-`run` is the one simulation entry point.  A one-lane pass of the gates
-loads the seed through the multiplexer, and one pass in k + 1 lanes
-probes a run cycle from the zero word (lane 0) and from each one-bit
-word 1 << j (lane 1 + j).  With the load select low every element is
-linear over GF(2) (XOR gates, the multiplexer passing its run side,
-flip-flops), and the seed and zero nets are constants; validate_structure
-makes sure no element drives them or the load select.  So a run cycle
-is exactly the affine map w -> M.w ^ c that `AffineMap.from_probe` reads
-off the probe: c is the probe from zero and column j of M is the probe
-from bit j less c.  `run` returns that map's orbit from the loaded word
-as a uint64 array; the orbit doubles the known run with powers of the
-map (see gf2), so no further gate-level clock is needed.
+`run_map` is the one simulation entry point.  A one-lane pass of the
+gates loads the seed through the multiplexer, and one pass in k + 1
+lanes probes a run cycle from the zero word (lane 0) and from each
+one-bit word 1 << j (lane 1 + j).  With the load select low every
+element is linear over GF(2) (XOR gates, the multiplexer passing its
+run side, flip-flops), and the seed and zero nets are constants;
+validate_structure makes sure no element drives them or the load
+select.  So a run cycle is exactly the affine map w -> M.w ^ c that
+`AffineMap.from_probe` reads off the probe: c is the probe from zero and
+column j of M is the probe from bit j less c.  `run_map` returns the
+loaded word and that map, and no further gate-level clock is needed:
+`run` returns the map's orbit from the loaded word as a uint64 array,
+and `AffineMap.bit_blocks` streams one tap bit of it (see gf2).
 """
 
 from __future__ import annotations
@@ -279,24 +280,35 @@ def _transpose(rows: list[int], n: int) -> list[int]:
     return out
 
 
-def run(netlist: Netlist, seed: int, n: int) -> np.ndarray:
-    """Load the seed through the multiplexer, then clock n cycles.
+def run_map(netlist: Netlist, seed: int) -> tuple[int, AffineMap]:
+    """Load the seed through the multiplexer; return the loaded word and
+    the affine map of one run cycle.
 
-    Returns the n + 1 register words as a '<u8' array; this is the one
-    way to simulate a netlist.  A one-lane gate pass gives the load
-    cycle, and one bit-parallel pass the affine map of a run cycle (see
-    the module docstring), whose orbit is the rest.  Bit-for-bit equal
-    to the word model: run(netlist, w0, n) matches
-    iterate(MapConfig(width), w0, n) for netlists built here.
+    A one-lane gate pass gives the load cycle, and one bit-parallel pass
+    in k + 1 lanes the map (see the module docstring).  Its orbit from the
+    loaded word is the run, in full (run) or one tap bit at a time
+    (AffineMap.bit_blocks).
     """
-    if n < 1:
-        raise ValueError(f"need at least one cycle, got n={n}")
     seed = check_word(seed, netlist.width)
     order = validate_structure(netlist)
     [loaded] = _clock_lanes(netlist, order, [0], seed, 1)
     cycle = AffineMap.from_probe(
         lambda words: _clock_lanes(netlist, order, words, seed, 0), netlist.width.k
     )
+    return loaded, cycle
+
+
+def run(netlist: Netlist, seed: int, n: int) -> np.ndarray:
+    """Load the seed through the multiplexer, then clock n cycles.
+
+    Returns the n + 1 register words as a '<u8' array: the orbit of
+    run_map's cycle from its loaded word.  Bit-for-bit equal to the word
+    model: run(netlist, w0, n) matches iterate(MapConfig(width), w0, n)
+    for netlists built here.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one cycle, got n={n}")
+    loaded, cycle = run_map(netlist, seed)
     return cycle.orbit_array(loaded, n)
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tentbits import analysis, cli, core, netlist
+from tentbits import analysis, cli, columns, core, netlist
 from tentbits.cli import EXIT_ALL_TESTS_FAILED, EXIT_OK, EXIT_USAGE, main
 from tentbits.core import MapConfig, decode_series, iterate, output_array
 
@@ -177,6 +177,25 @@ class TestNetlistCommand:
         assert main(["gen", *shared, "--out", str(gen_out)]) == EXIT_OK
         assert main(["netlist", *shared, "--simulate", "--out", str(sim_out)]) == EXIT_OK
         assert gen_out.read_bytes() == sim_out.read_bytes()
+
+    @pytest.mark.parametrize("variant", ("perturbed", "unperturbed"))
+    @pytest.mark.parametrize("bits", (2, 8, 33, 64))
+    def test_simulate_streams_gen_bits(self, tmp_path, bits, variant):
+        # the circuit's tap bits come from its map block by block and gen's
+        # from its words: equal over three blocks and a part, for both taps,
+        # a plain seed and the two degenerate ones
+        n = 3 * columns.BLOCK_ROWS + 4
+        top = (1 << bits) - 1
+        for seed in (0x5A3C5A3C5A3C5A3C & top or 1, 0, top):
+            for tap in ("msb", "lsb"):
+                for fmt in ("raw", "bits"):
+                    shared = ["--bits", str(bits), "--seed", hex(seed), "--n", str(n),
+                              "--variant", variant, "--tap", tap, "--format", fmt]
+                    outs = [tmp_path / "word", tmp_path / "gate"]
+                    assert main(["gen", *shared, "--out", str(outs[0])]) == EXIT_OK
+                    assert main(["netlist", "--simulate", *shared,
+                                 "--out", str(outs[1])]) == EXIT_OK
+                    assert outs[0].read_bytes() == outs[1].read_bytes(), shared
 
     @pytest.mark.parametrize("variant", ("perturbed", "unperturbed"))
     def test_simulate_builds_the_circuit_once(self, monkeypatch, capsys, variant):
@@ -527,6 +546,7 @@ def test_n_past_any_array_is_one_line_error(tmp_path, capsys, monkeypatch, comma
     monkeypatch.setattr(core, "iterate", no_states)  # gen
     monkeypatch.setattr(core, "affine_map", no_states)  # analyze
     monkeypatch.setattr(netlist, "run", no_states)  # either, on the netlist backend
+    monkeypatch.setattr(netlist, "run_map", no_states)  # netlist --simulate's bits
     for n in (2**63, 10**20):
         argv = [*command, "--bits", "16", "--seed", "0x5A3C", "--n", str(n)]
         argv += ["--out-dir" if command == ["analyze"] else "--out", str(tmp_path / "out")]
@@ -544,6 +564,23 @@ def test_gen_memory_is_flat_in_n(tmp_path):
     peaks = []
     for n in (262_144, 1_048_576):
         argv = ["gen", "--bits", "8", "--seed", "0x5A", "--n", str(n),
+                "--format", "raw", "--out", str(tmp_path / "out")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1 << 20, peaks
+
+
+def test_netlist_raw_memory_is_flat_in_n(tmp_path):
+    # netlist --simulate streams its tap bits from the circuit's map, one
+    # block at a time; holding the orbit, 8 B per state, the peak grew by
+    # about 6 MB from 262 144 to 1 048 576 states
+    peaks = []
+    for n in (262_144, 1_048_576):
+        argv = ["netlist", "--simulate", "--bits", "8", "--seed", "0x5A", "--n", str(n),
                 "--format", "raw", "--out", str(tmp_path / "out")]
         tracemalloc.start()
         try:

@@ -177,3 +177,58 @@ class TestOrbit:
         assert calls == {"_tables": rounds, "_compose": max(rounds - 1, 0)}
         monkeypatch.undo()
         assert words.tolist() == _sequential(m, 1, n)
+
+
+def _tapped(m, w, n, bit):
+    """Bit `bit` of each orbit word, from orbit_array."""
+    return (m.orbit_array(w, n) >> np.uint64(bit) & np.uint64(1)).astype(np.uint8)
+
+
+class TestBitBlocks:
+    @pytest.mark.parametrize("rows", (1, 7, 8, 64))
+    @pytest.mark.parametrize("k", (1, 2, 7, 8, 33, 63, 64))
+    def test_blocks_are_the_tapped_orbit(self, k, rows):
+        # lengths inside the first block, at its end, one past it, and a
+        # few blocks on; the random maps have a constant, so the flip bit
+        # of each later block is exercised
+        rnd = random.Random(k * 100 + rows)
+        for states in sorted({1, rows - 1, rows, rows + 1, 3 * rows + 5} - {0}):
+            for bit in sorted({0, k - 1, rnd.randrange(k)}):
+                m = _random_map(k, rnd)
+                w = rnd.getrandbits(k)
+                blocks = list(m.bit_blocks(w, states - 1, bit, rows))
+                assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+                assert 1 <= len(blocks[-1]) <= rows
+                assert all(b.dtype == np.uint8 for b in blocks)
+                assert np.concatenate(blocks).tolist() == _tapped(m, w, states - 1, bit).tolist()
+
+    def test_words_past_the_first_block_are_not_made(self, monkeypatch):
+        # one orbit_array call of rows words, however many blocks follow
+        m = _random_map(64, random.Random(3))
+        lengths = []
+        real = AffineMap.orbit_array
+
+        def recorded(self, w, n):
+            lengths.append(n + 1)
+            return real(self, w, n)
+
+        monkeypatch.setattr(AffineMap, "orbit_array", recorded)
+        bits = np.concatenate(list(m.bit_blocks(5, 10_000, 63, 64)))
+        assert lengths == [64]
+        monkeypatch.undo()
+        assert bits.tolist() == _tapped(m, 5, 10_000, 63).tolist()
+
+    def test_bad_arguments(self):
+        # each raises on the call, before a block is asked for
+        m = _identity(4)
+        cases = [
+            ((16, 3, 0, 8), "does not fit in 4 bits"),
+            ((-1, 3, 0, 8), "does not fit in 4 bits"),
+            ((3, -1, 0, 8), "need n >= 0"),
+            ((3, 3, 4, 8), "need a bit in 0..3"),
+            ((3, 3, -1, 8), "need a bit in 0..3"),
+            ((3, 3, 0, 0), "need rows >= 1"),
+        ]
+        for args, message in cases:
+            with pytest.raises(ValueError, match=message):
+                m.bit_blocks(*args)

@@ -24,6 +24,7 @@ from tentbits.netlist import (
     export_text,
     parse_text,
     run,
+    run_map,
     validate_structure,
 )
 
@@ -361,6 +362,23 @@ class TestAffineRun:
         for seed in (0, top, *samples[:2]):
             assert _clock_lanes(circuit, order, [0], seed, 1)[0] == seed
             assert _run_cycle_map(circuit, seed) == model
+
+    @pytest.mark.parametrize("perturbed", (True, False))
+    @pytest.mark.parametrize("k", range(2, 65))
+    def test_bit_blocks_are_the_tapped_run(self, k, perturbed):
+        # both taps, over three blocks and a part, of the circuit's map from
+        # its loaded word and of the word model's map from the seed
+        config = MapConfig(width=k, perturbed=perturbed)
+        seed = 0x5A3C5A3C5A3C5A3C & ((1 << k) - 1) or 1
+        loaded, cycle = run_map(build_tent_netlist(k, perturbed=perturbed), seed)
+        assert loaded == seed
+        n = 3 * 64 + 4
+        words = np.array(iterate(config, seed, n), np.uint64)
+        for bit in (0, k - 1):
+            expected = (words >> np.uint64(bit) & np.uint64(1)).tolist()
+            for m in (cycle, affine_map(config)):
+                bits = np.concatenate(list(m.bit_blocks(seed, n, bit, 64)))
+                assert bits.tolist() == expected
 
     @pytest.mark.parametrize(
         "edits",
