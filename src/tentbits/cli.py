@@ -78,10 +78,11 @@ def _resolve(args) -> None:
 
 
 def _warn_degenerate(args) -> None:
-    if core.is_degenerate_seed(args.seed, args.width):
+    step = core.steps_to_zero(args.seed, args.width, args.perturbed)
+    if step is not None:
         print(
-            f"warning: degenerate seed {_seed_hex(args)} sits on the absorbing "
-            "fixed point; the output is constant",
+            f"warning: degenerate seed {_seed_hex(args)} reaches the absorbing "
+            f"fixed point 0 at step {step}; every state from there on is 0",
             file=sys.stderr,
         )
 
@@ -106,20 +107,19 @@ def _trajectory(args) -> Iterator[np.ndarray]:
     so a block is all it holds and core.step runs n times, the count the
     benchmark's traced stream workload predicts; raw and bits tap each
     block with core.output_array.  The netlist backend makes its run
-    cycle's map before the caller opens its output.  For raw and bits it
-    streams the tap bits from that map (AffineMap.bit_blocks), so it too
-    holds two blocks; for hex and csv it slices _orbit's array.
+    cycle's map before the caller opens its output, and streams blocks
+    from that map: the tap bits for raw and bits (AffineMap.bit_blocks),
+    the words for hex and csv (AffineMap.word_blocks).  It too holds two
+    blocks, whatever n is.
     """
     tapped = args.format in ("raw", "bits")
-    if args.backend == "netlist" and tapped:
+    if args.backend == "netlist":
         circuit = nl.build_tent_netlist(args.width, perturbed=args.perturbed)
         loaded, cycle = nl.run_map(circuit, args.seed)
-        shift = core.tap_shift(args.width, args.tap)
-        return cycle.bit_blocks(loaded, args.n, shift, columns.BLOCK_ROWS)
-    if args.backend == "netlist":
-        words = _orbit(args)
-        return (words[start : start + columns.BLOCK_ROWS]
-                for start in range(0, len(words), columns.BLOCK_ROWS))
+        if tapped:
+            shift = core.tap_shift(args.width, args.tap)
+            return cycle.bit_blocks(loaded, args.n, shift, columns.BLOCK_ROWS)
+        return cycle.word_blocks(loaded, args.n, columns.BLOCK_ROWS)
     config = core.MapConfig(width=args.width, perturbed=args.perturbed)
     blocks = _word_blocks(config, args.seed, args.n)
     if tapped:

@@ -272,12 +272,21 @@ def decode_series(words, width: BitWidth | int) -> np.ndarray:
     return np.fromiter((w / m for w in array.tolist()), float, len(array))
 
 
-def is_degenerate_seed(w: int, width: BitWidth | int) -> bool:
-    """True for the two seeds that sit on the absorbing fixed point.
+def steps_to_zero(w: int, width: BitWidth | int, perturbed: bool = True) -> int | None:
+    """The step at which the orbit of w reaches the absorbing fixed point 0,
+    or None if it never does; worked out from the step rule, with no step.
 
-    0 maps to 0 and all-ones maps to 0 (its complement is the zero
-    word); every other word avoids 0 for widths of 3 bits and up.
+    Only 0 and the all-ones word (whose complement is 0) step to 0.  A
+    word steps to all-ones only if it is 0b011...1 or 0b100...0 and its
+    serial bit is 1, which needs its two lowest bits to differ: so only
+    at k = 2, perturbed, where those words are 0b01 and 0b10.  So 0 is
+    there at step 0, all-ones at step 1, the two others at k = 2 at step
+    2, and every other word never.
     """
     width = as_width(width)
     w = check_word(w, width)
-    return w == 0 or w == width.max_word
+    if w == 0:
+        return 0
+    if w == width.max_word:
+        return 1
+    return 2 if perturbed and width.k == 2 else None

@@ -7,13 +7,29 @@ register circuit, is read off its images of the k + 1 words 0 and
 1 << j by `AffineMap.from_probe`, asked for in one call so that a
 bit-parallel simulator clocks them all in one pass.
 
-`orbit_array` computes a run of the map by recursive doubling (Kogge
-and Stone, IEEE Trans. Computers C-22, 1973): once the first L words
-are known, M^L maps them onto the next L as one numpy array, so each
-word is computed once in about log2(n) rounds.  A linear map applies as
-one table lookup per byte of the word: table j holds M applied to every
-byte value shifted to bit 8j.  Each round builds the tables of M^L once
-and uses them both for its block and to square M^L for the next round.
+A linear map applies as one table lookup per byte of the word: table j
+holds M applied to every byte value shifted to bit 8j.  Everything past
+a single composition draws on one squaring sequence of the map (see
+`_Squares`): the powers f^(2^i) for i = 0, 1, ..., each a '<u8' array of
+its k columns and then its constant, with its byte tables.  Each power
+is one `_linear` pass of the tables of the one before over that one's
+array, and each power and each set of tables is built once, when a
+caller first asks for it.
+
+* `orbit_array` computes a run of the map by recursive doubling (Kogge
+  and Stone, IEEE Trans. Computers C-22, 1973): once the first 2^i
+  words are known, f^(2^i) maps them onto the next 2^i as one numpy
+  array, so each word is computed once in about log2(n) rounds.
+* `power(n)` composes the powers of n's set bits.
+* `word_blocks` and `bit_blocks` go on from a first block of `rows`
+  words by jumps of f^rows, taken from the sequence that block's
+  doubling used; for rows = 2^m, f^rows is its next power, one squaring
+  on.  `word_blocks` maps each block onto the next.  `bit_blocks` jumps
+  only the tap row (F2-linear jump-ahead; Haramoto et al., INFORMS J.
+  Computing 20, 2008): bit b of f^t(w) is the parity of w AND r_t, xor
+  a constant bit, where r_t is row b of the linear part of f^t.  So one
+  block of words, each block's row and constant bit give every later
+  block's bits.
 """
 
 from __future__ import annotations
@@ -40,7 +56,8 @@ class AffineMap:
                 f"need 1 <= k <= 64 and k columns, got k={self.k} "
                 f"and {len(self.columns)} columns"
             )
-        if not all(0 <= x < 1 << self.k for x in (*self.columns, self.constant)):
+        values = (*self.columns, self.constant)
+        if min(values) < 0 or max(values) >= 1 << self.k:
             raise ValueError(f"a column or the constant does not fit in {self.k} bits")
 
     @classmethod
@@ -56,96 +73,168 @@ class AffineMap:
         constant, *images = f([0, *(1 << j for j in range(k))])
         return cls(k, tuple(x ^ constant for x in images), constant)
 
+    @classmethod
+    def _of(cls, array: np.ndarray) -> AffineMap:
+        """The map of a '<u8' array of k columns, then the constant."""
+        *columns, constant = array.tolist()
+        return cls(len(columns), tuple(columns), constant)
+
     def compose(self, other: AffineMap) -> AffineMap:
         """The map w -> self(other(w)): other is applied first."""
-        return self._compose(self._tables(), other)
-
-    def _compose(self, tables: np.ndarray, other: AffineMap) -> AffineMap:
-        """compose, given this map's _tables()."""
         if other.k != self.k:
             raise ValueError(f"cannot compose k={self.k} with k={other.k}")
-        words = np.array([*other.columns, other.constant], _WORD)
-        image = _linear(tables, words).tolist()
-        return AffineMap(self.k, tuple(image[:-1]), image[-1] ^ self.constant)
+        return self._of(_Squares(self).after(0, np.array([*other.columns, other.constant], _WORD)))
 
     def power(self, n: int) -> AffineMap:
-        """The map applied n times, by repeated squaring; power(0) is the identity."""
+        """The map applied n times; power(0) is the identity."""
         if n < 0:
             raise ValueError(f"need a power n >= 0, got n={n}")
         if n == 0:
             return AffineMap(self.k, tuple(1 << j for j in range(self.k)))
-        # high bit first: square, then apply the map once more for a 1 bit
-        result = self
-        for bit in bin(n)[3:]:
-            result = result.compose(result)
-            if bit == "1":
-                result = self.compose(result)
-        return result
+        return self._of(_Squares(self).product(n))
 
     def orbit_array(self, w: int, n: int) -> np.ndarray:
         """The n + 1 words w, f(w), ..., f^n(w), with f this map, as a
         '<u8' array, by recursive doubling."""
+        return self._orbit(w, n, _Squares(self))
+
+    def _orbit(self, w: int, n: int, squares: _Squares) -> np.ndarray:
+        """orbit_array, from this map's squaring sequence: round i maps
+        the first 2^i words by power i."""
         if n < 0:
             raise ValueError(f"need n >= 0 steps, got n={n}")
         if not 0 <= w < 1 << self.k:
             raise ValueError(f"word {w:#x} does not fit in {self.k} bits")
         out = np.empty(n + 1, _WORD)
         out[0] = w
-        done, jump = 1, self  # jump is this map applied done times
+        done, i = 1, 0  # done = 2^i words are known
         while done <= n:
-            tables = jump._tables()
             todo = min(done, n + 1 - done)
-            block = _linear(tables, out[:todo])
-            block ^= jump.constant
+            block = _linear(squares.tables(i), out[:todo])
+            block ^= squares.power(i)[-1]
             out[done : done + todo] = block
             done += todo
-            if done <= n:
-                jump = jump._compose(tables, jump)
+            i += 1
         return out
+
+    def word_blocks(self, w: int, n: int, rows: int) -> Iterator[np.ndarray]:
+        """The n + 1 words w, f(w), ..., f^n(w) as '<u8' blocks of `rows`
+        words, the last one shorter.
+
+        The first block is computed by orbit_array's doubling (before
+        this returns, so a bad w or n raises here); each later block is
+        f^rows applied to the block before.  It holds two blocks,
+        whatever n is.
+        """
+        return _word_blocks(*self._first_block(w, n, rows), n, rows)
 
     def bit_blocks(self, w: int, n: int, bit: int, rows: int) -> Iterator[np.ndarray]:
         """Bit `bit` of each of the n + 1 words w, f(w), ..., f^n(w), as
         uint8 blocks of `rows` bits, the last one shorter.
 
-        Only the first block's words are computed (by orbit_array, before
-        this returns, so a bad w or n raises here); each later block is
-        the parity of those words ANDed with the tap row of f^(t * rows),
-        xor its constant bit (see the module docstring).  It holds two
-        blocks, whatever n is.
+        Only the first block's words are computed (by orbit_array's
+        doubling, before this returns, so a bad w or n raises here); each
+        later block is the parity of those words ANDed with the tap row
+        of f^(t * rows), xor its constant bit (see the module docstring).
+        It holds two blocks, whatever n is.
         """
         if not 0 <= bit < self.k:
             raise ValueError(f"need a bit in 0..{self.k - 1}, got bit={bit}")
+        return _bit_blocks(*self._first_block(w, n, rows), n, bit, rows)
+
+    def _first_block(self, w: int, n: int, rows: int) -> tuple[np.ndarray, _Squares]:
+        """The orbit's first `rows` words (all n + 1 if fewer), and the
+        squaring sequence whose doubling made them."""
         if rows < 1:
             raise ValueError(f"need rows >= 1, got rows={rows}")
-        first = self.orbit_array(w, min(n, rows - 1))
-        return self._bit_blocks(first, n, bit, rows)
+        squares = _Squares(self)
+        return self._orbit(w, min(n, rows - 1), squares), squares
 
-    def _bit_blocks(
-        self, first: np.ndarray, n: int, bit: int, rows: int
-    ) -> Iterator[np.ndarray]:
-        """bit_blocks, given its first block of words."""
-        row, flip = 1 << bit, 0  # bit `bit` of f^0: the tap row of the identity
-        jump = self.power(rows) if n >= rows else None
-        for start in range(0, n + 1, rows):
-            if start:
-                flip ^= (row & jump.constant).bit_count() & 1
-                row = sum(((row & column).bit_count() & 1) << j
-                          for j, column in enumerate(jump.columns))
-            bits = np.bitwise_count(first[: n + 1 - start] & np.uint64(row))
-            bits &= 1
-            bits ^= flip
-            yield bits
 
-    def _tables(self) -> np.ndarray:
-        """Row j, entry x: M applied to x << 8j, one row per byte of a word."""
-        columns = np.zeros(-(-self.k // 8) * 8, _WORD)
-        columns[: self.k] = self.columns
-        columns = columns.reshape(-1, 8)
-        tables = np.zeros((len(columns), 256), _WORD)
-        for i in range(8):
-            # the entries with top bit i are those below it, plus column i
-            tables[:, 1 << i : 2 << i] = tables[:, : 1 << i] ^ columns[:, i : i + 1]
-        return tables
+class _Squares:
+    """The squaring sequence f^(2^i), i = 0, 1, ..., of one affine map f.
+
+    Power i is a '<u8' array of its k columns, then its constant.  Power
+    i + 1 is power i after itself, one _linear pass of power i's tables;
+    each power and each set of tables is built once, on first use.
+    """
+
+    def __init__(self, f: AffineMap) -> None:
+        self._powers = [np.array([*f.columns, f.constant], _WORD)]
+        self._tables: list[np.ndarray] = []
+
+    def power(self, i: int) -> np.ndarray:
+        """f^(2^i) as an array, which the caller must not write to."""
+        while len(self._powers) <= i:
+            self._powers.append(self.after(len(self._powers) - 1, self._powers[-1]))
+        return self._powers[i]
+
+    def tables(self, i: int) -> np.ndarray:
+        """The byte tables of power i's linear part (see _linear)."""
+        while len(self._tables) <= i:
+            self._tables.append(_tables(self.power(len(self._tables))[:-1]))
+        return self._tables[i]
+
+    def after(self, i: int, array: np.ndarray) -> np.ndarray:
+        """The map of `array` followed by power i, as a new array."""
+        out = _linear(self.tables(i), array)
+        out[-1] ^= self.power(i)[-1]
+        return out
+
+    def product(self, n: int) -> np.ndarray:
+        """f^n for n >= 1: the powers of n's set bits composed, low bit
+        first; for n = 2^m it is power m itself."""
+        result = None
+        for i in range(n.bit_length()):
+            if n >> i & 1:
+                result = self.power(i) if result is None else self.after(i, result)
+        return result
+
+
+def _word_blocks(
+    block: np.ndarray, squares: _Squares, n: int, rows: int
+) -> Iterator[np.ndarray]:
+    """AffineMap.word_blocks, given its first block and squaring sequence."""
+    yield block
+    if n < rows:
+        return
+    jump = squares.product(rows)
+    tables = _tables(jump[:-1])
+    for start in range(rows, n + 1, rows):
+        block = _linear(tables, block[: n + 1 - start])
+        block ^= jump[-1]
+        yield block
+
+
+def _bit_blocks(
+    first: np.ndarray, squares: _Squares, n: int, bit: int, rows: int
+) -> Iterator[np.ndarray]:
+    """AffineMap.bit_blocks, given its first block and squaring sequence."""
+    row, flip = 1 << bit, 0  # bit `bit` of f^0: the tap row of the identity
+    jump = squares.product(rows) if n >= rows else None
+    for start in range(0, n + 1, rows):
+        if start:
+            flip ^= (row & int(jump[-1])).bit_count() & 1
+            # bit j of the next row: the parity of this row AND column j
+            parity = np.bitwise_count(jump[:-1] & np.uint64(row)) & 1
+            row = int.from_bytes(np.packbits(parity, bitorder="little").tobytes(), "little")
+        bits = np.bitwise_count(first[: n + 1 - start] & np.uint64(row))
+        bits &= 1
+        bits ^= flip
+        yield bits
+
+
+def _tables(columns: np.ndarray) -> np.ndarray:
+    """Row j, entry x: M applied to x << 8j, from M's '<u8' columns; one
+    row per byte of a word."""
+    padded = np.zeros(-(-len(columns) // 8) * 8, _WORD)
+    padded[: len(columns)] = columns
+    padded = padded.reshape(-1, 8)
+    tables = np.zeros((len(padded), 256), _WORD)
+    for i in range(8):
+        # the entries with top bit i are those below it, plus column i
+        tables[:, 1 << i : 2 << i] = tables[:, : 1 << i] ^ padded[:, i : i + 1]
+    return tables
 
 
 def _linear(tables: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -155,4 +244,3 @@ def _linear(tables: np.ndarray, words: np.ndarray) -> np.ndarray:
     for j in range(1, len(tables)):
         out ^= tables[j].take(octets[:, j])
     return out
-

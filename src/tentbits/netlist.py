@@ -28,7 +28,8 @@ select.  So a run cycle is exactly the affine map w -> M.w ^ c that
 column j of M is the probe from bit j less c.  `run_map` returns the
 loaded word and that map, and no further gate-level clock is needed:
 `run` returns the map's orbit from the loaded word as a uint64 array,
-and `AffineMap.bit_blocks` streams one tap bit of it (see gf2).
+and `AffineMap.word_blocks` and `bit_blocks` stream its words or one
+tap bit of them, a block at a time (see gf2).
 """
 
 from __future__ import annotations
@@ -286,8 +287,8 @@ def run_map(netlist: Netlist, seed: int) -> tuple[int, AffineMap]:
 
     A one-lane gate pass gives the load cycle, and one bit-parallel pass
     in k + 1 lanes the map (see the module docstring).  Its orbit from the
-    loaded word is the run, in full (run) or one tap bit at a time
-    (AffineMap.bit_blocks).
+    loaded word is the run, in full (run) or a block at a time
+    (AffineMap.word_blocks, and bit_blocks for one tap bit).
     """
     seed = check_word(seed, netlist.width)
     order = validate_structure(netlist)

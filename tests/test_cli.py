@@ -656,14 +656,39 @@ def test_bad_n_with_random_seed_is_one_line_error(argv, capsys):
         pytest.param(["cycles"], False, id="cycles"),
     ],
 )
-@pytest.mark.parametrize("seed", ("0x00", "0xFF"))
-def test_degenerate_seed_warning(tmp_path, monkeypatch, capsys, argv, warns, seed):
-    # the runs warn that the output is constant; the cycle report does not
+@pytest.mark.parametrize(
+    "flags,seed,step",
+    [
+        (["--bits", "8"], "0x00", 0),
+        (["--bits", "8"], "0xFF", 1),
+        (["--bits", "8", "--variant", "unperturbed"], "0xFF", 1),
+        # at two bits every seed of the perturbed map drains to 0
+        (["--bits", "2"], "0x1", 2),
+        (["--bits", "2"], "0x2", 2),
+    ],
+)
+def test_degenerate_seed_warning(tmp_path, monkeypatch, capsys, argv, warns, flags, seed, step):
+    # the runs say at which step the orbit reaches 0; the cycle report does not
     monkeypatch.chdir(tmp_path)
-    assert main([*argv, "--bits", "8", "--seed", seed]) == EXIT_OK
-    warning = (f"warning: degenerate seed {seed} sits on the absorbing fixed point; "
-               "the output is constant")
+    assert main([*argv, *flags, "--seed", seed]) == EXIT_OK
+    warning = (f"warning: degenerate seed {seed} reaches the absorbing fixed point 0 "
+               f"at step {step}; every state from there on is 0")
     assert (warning in capsys.readouterr().err.splitlines()) == warns
+
+
+@pytest.mark.parametrize("flags", (["--bits", "8", "--seed", "0x5A"],
+                                   ["--bits", "2", "--seed", "0x1", "--variant", "unperturbed"]))
+def test_seed_that_avoids_zero_gives_no_warning(capsys, flags):
+    assert main(["gen", *flags, "--n", "3"]) == EXIT_OK
+    assert "warning" not in capsys.readouterr().err
+
+
+def test_all_ones_seed_outputs_its_own_bit_first(capsys):
+    # the seed is the first state, so its tap bit leads the zeros
+    assert main(["gen", "--bits", "3", "--seed", "7", "--n", "3", "--tap", "lsb"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.split() == ["1", "0", "0", "0"]
+    assert "reaches the absorbing fixed point 0 at step 1" in captured.err
 
 
 @pytest.mark.parametrize(

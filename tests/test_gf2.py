@@ -1,4 +1,5 @@
-"""GF(2) affine maps: probing, composition, powers and doubling orbits."""
+"""GF(2) affine maps: probing, composition, powers, doubling orbits and
+orbits in blocks."""
 
 import random
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tentbits import gf2
 from tentbits.gf2 import AffineMap
 
 
@@ -105,6 +107,18 @@ class TestAffineMap:
         with pytest.raises(ValueError):
             m.power(-1)
 
+    @pytest.mark.parametrize("k", (3, 13, 64))
+    def test_power_is_the_sequential_map(self, k):
+        # the probe words 0 and 1 << j, each stepped one at a time by the
+        # plain definition: after n steps they read off f^n's constant and
+        # columns, for every n up to 300 (every set-bit pattern below 2^8)
+        m = _random_map(k, random.Random(k + 1))
+        words = [0, *(1 << j for j in range(k))]
+        for n in range(301):
+            constant, *images = words
+            assert m.power(n) == AffineMap(k, tuple(x ^ constant for x in images), constant)
+            words = [_apply(m, x) for x in words]
+
 
 class TestOrbit:
     @pytest.mark.parametrize("k", (5, 64))
@@ -156,27 +170,47 @@ class TestOrbit:
     @pytest.mark.parametrize("n", (0, *EDGE_STEPS))
     def test_one_table_build_per_round(self, n, monkeypatch):
         # the known run doubles from one word until it holds n + 1, which
-        # takes n.bit_length() rounds; each builds its map's tables once,
-        # for its block and its square, and the last round does not square
-        calls = {"_tables": 0, "_compose": 0}
-
-        def counted(name):
-            method = getattr(AffineMap, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return method(*args)
-
-            monkeypatch.setattr(AffineMap, name, wrapper)
-
-        counted("_tables")
-        counted("_compose")
+        # takes n.bit_length() rounds; round i builds the tables of power
+        # i of the squaring sequence once, for its block and for squaring
+        # it into power i + 1, and the last round does not square
+        calls = _count_calls(monkeypatch, "_tables", "_linear")
         m = _random_map(64, random.Random(n))
         words = m.orbit_array(1, n)
         rounds = n.bit_length()
-        assert calls == {"_tables": rounds, "_compose": max(rounds - 1, 0)}
+        assert calls == {"_tables": rounds, "_linear": rounds + max(rounds - 1, 0)}
         monkeypatch.undo()
         assert words.tolist() == _sequential(m, 1, n)
+
+
+def _count_calls(monkeypatch, *names):
+    """Count the calls of the named gf2 functions until monkeypatch.undo()."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        function = getattr(gf2, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+
+        monkeypatch.setattr(gf2, name, wrapper)
+
+    for name in names:
+        counted(name)
+    return calls
+
+
+def _record_doublings(monkeypatch):
+    """The length of each doubling's orbit, until monkeypatch.undo()."""
+    lengths = []
+    real = AffineMap._orbit
+
+    def recorded(self, w, n, squares):
+        lengths.append(n + 1)
+        return real(self, w, n, squares)
+
+    monkeypatch.setattr(AffineMap, "_orbit", recorded)
+    return lengths
 
 
 def _tapped(m, w, n, bit):
@@ -203,20 +237,27 @@ class TestBitBlocks:
                 assert np.concatenate(blocks).tolist() == _tapped(m, w, states - 1, bit).tolist()
 
     def test_words_past_the_first_block_are_not_made(self, monkeypatch):
-        # one orbit_array call of rows words, however many blocks follow
+        # one doubling of rows words, however many blocks follow
         m = _random_map(64, random.Random(3))
-        lengths = []
-        real = AffineMap.orbit_array
-
-        def recorded(self, w, n):
-            lengths.append(n + 1)
-            return real(self, w, n)
-
-        monkeypatch.setattr(AffineMap, "orbit_array", recorded)
+        lengths = _record_doublings(monkeypatch)
         bits = np.concatenate(list(m.bit_blocks(5, 10_000, 63, 64)))
         assert lengths == [64]
         monkeypatch.undo()
         assert bits.tolist() == _tapped(m, 5, 10_000, 63).tolist()
+
+    @pytest.mark.parametrize("m", (0, 3, 6, 13))
+    def test_jump_is_the_next_square(self, m, monkeypatch):
+        # at rows = 2^m the first block's doubling builds the tables of
+        # powers 0..m-1, and f^rows is power m, one squaring on: no other
+        # table build, no power() call; 13 builds at rows = 8 192
+        rows = 1 << m
+        f = _random_map(64, random.Random(m))
+        calls = _count_calls(monkeypatch, "_tables")
+        monkeypatch.setattr(AffineMap, "power", None)
+        bits = np.concatenate(list(f.bit_blocks(7, 3 * rows + 5, 63, rows)))
+        assert calls == {"_tables": m}
+        monkeypatch.undo()
+        assert bits.tolist() == _tapped(f, 7, 3 * rows + 5, 63).tolist()
 
     def test_bad_arguments(self):
         # each raises on the call, before a block is asked for
@@ -232,3 +273,47 @@ class TestBitBlocks:
         for args, message in cases:
             with pytest.raises(ValueError, match=message):
                 m.bit_blocks(*args)
+
+
+class TestWordBlocks:
+    @pytest.mark.parametrize("rows", (1, 7, 8, 64))
+    @pytest.mark.parametrize("k", (1, 13, 64))
+    def test_blocks_are_the_orbit(self, k, rows):
+        # n + 1 words shorter than one block, one short of its end, at
+        # it, one past it, and a few blocks on
+        rnd = random.Random(k * 100 + rows)
+        for states in sorted({1, 3, rows - 1, rows, rows + 1, 3 * rows + 5} - {0}):
+            m = _random_map(k, rnd)
+            w = rnd.getrandbits(k)
+            blocks = list(m.word_blocks(w, states - 1, rows))
+            assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+            assert 1 <= len(blocks[-1]) <= rows
+            assert all(b.dtype == np.dtype("<u8") for b in blocks)
+            assert np.concatenate(blocks).tolist() == _sequential(m, w, states - 1)
+
+    @pytest.mark.parametrize("m", (0, 3, 13))
+    def test_one_doubling_then_the_next_square(self, m, monkeypatch):
+        # one doubling of rows words, then f^rows is power m of the same
+        # squaring sequence: m + 1 table builds, the last for f^rows
+        rows = 1 << m
+        f = _random_map(64, random.Random(m))
+        lengths = _record_doublings(monkeypatch)
+        calls = _count_calls(monkeypatch, "_tables")
+        words = np.concatenate(list(f.word_blocks(9, 3 * rows + 5, rows)))
+        assert lengths == [rows]
+        assert calls == {"_tables": m + 1}
+        monkeypatch.undo()
+        assert words.tolist() == f.orbit_array(9, 3 * rows + 5).tolist()
+
+    def test_bad_arguments(self):
+        # each raises on the call, before a block is asked for
+        m = _identity(4)
+        cases = [
+            ((16, 3, 8), "does not fit in 4 bits"),
+            ((-1, 3, 8), "does not fit in 4 bits"),
+            ((3, -1, 8), "need n >= 0"),
+            ((3, 3, 0), "need rows >= 1"),
+        ]
+        for args, message in cases:
+            with pytest.raises(ValueError, match=message):
+                m.word_blocks(*args)
