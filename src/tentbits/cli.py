@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, columns, core, netlist as nl
+from . import analysis, columns, core, gf2, netlist as nl
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -52,11 +52,12 @@ def _seed_hex(args) -> str:
 
 
 def _resolve(args) -> None:
-    """Check the shared flags in place: set args.width and args.perturbed
-    and, when there is a seed to run, replace args.seed by its checked
-    word.  A drawn 'random' seed is echoed once n is checked too."""
+    """Check the shared flags in place: set args.width, args.perturbed and
+    args.config and, when there is a seed to run, replace args.seed by its
+    checked word.  A drawn 'random' seed is echoed once n is checked too."""
     args.width = core.BitWidth(args.bits)
     args.perturbed = args.variant == "perturbed"
+    args.config = core.MapConfig(args.width, args.perturbed)
     n = getattr(args, "n", 1)  # cycles takes no --n
     if args.seed is None or n is None:
         return
@@ -87,14 +88,13 @@ def _warn_degenerate(args) -> None:
         )
 
 
-def _orbit(args) -> np.ndarray:
-    """The run's n + 1 words as one uint64 array, 8 B per state: the orbit
-    of the GF(2) map of one circuit clock (netlist backend) or core.step."""
+def _run_map(args) -> tuple[int, gf2.AffineMap]:
+    """The run's first word and the GF(2) map that steps it: the loaded
+    word and the map of one run cycle of the circuit (netlist backend), or
+    the seed and core.step's map (word backend)."""
     if args.backend == "netlist":
-        circuit = nl.build_tent_netlist(args.width, perturbed=args.perturbed)
-        return nl.run(circuit, args.seed, args.n)
-    config = core.MapConfig(width=args.width, perturbed=args.perturbed)
-    return core.affine_map(config).orbit_array(args.seed, args.n)
+        return nl.run_map(nl.build_tent_netlist(args.width, args.perturbed), args.seed)
+    return args.seed, core.affine_map(args.config)
 
 
 def _trajectory(args) -> Iterator[np.ndarray]:
@@ -103,25 +103,22 @@ def _trajectory(args) -> Iterator[np.ndarray]:
     state as uint8 for raw and bits, and the uint64 word for hex and csv.
     Each block goes on from the last state of the block before.
 
-    The word model gives each block of words by one core.iterate call,
-    so a block is all it holds and core.step runs n times, the count the
-    benchmark's traced stream workload predicts; raw and bits tap each
-    block with core.output_array.  The netlist backend makes its run
-    cycle's map before the caller opens its output, and streams blocks
-    from that map: the tap bits for raw and bits (AffineMap.bit_blocks),
-    the words for hex and csv (AffineMap.word_blocks).  It too holds two
-    blocks, whatever n is.
+    The netlist backend takes _run_map's map before the caller opens its
+    output, and streams blocks from it: the tap bits for raw and bits
+    (AffineMap.bit_blocks), the words for hex and csv
+    (AffineMap.word_blocks).  It holds two blocks, whatever n is.  The
+    word backend stays on core.iterate, one call per block, so core.step
+    runs n times, the count the benchmark's traced stream workload
+    predicts; raw and bits tap each block with core.output_array.
     """
     tapped = args.format in ("raw", "bits")
     if args.backend == "netlist":
-        circuit = nl.build_tent_netlist(args.width, perturbed=args.perturbed)
-        loaded, cycle = nl.run_map(circuit, args.seed)
+        first, cycle = _run_map(args)
         if tapped:
             shift = core.tap_shift(args.width, args.tap)
-            return cycle.bit_blocks(loaded, args.n, shift, columns.BLOCK_ROWS)
-        return cycle.word_blocks(loaded, args.n, columns.BLOCK_ROWS)
-    config = core.MapConfig(width=args.width, perturbed=args.perturbed)
-    blocks = _word_blocks(config, args.seed, args.n)
+            return cycle.bit_blocks(first, args.n, shift, columns.BLOCK_ROWS)
+        return cycle.word_blocks(first, args.n, columns.BLOCK_ROWS)
+    blocks = _word_blocks(args.config, args.seed, args.n)
     if tapped:
         return (core.output_array(words, args.width, args.tap) for words in blocks)
     return blocks
@@ -288,15 +285,18 @@ def cmd_analyze(args) -> int:
     tests = [t.strip() for t in args.tests.split(",") if t.strip()]
     if not tests:
         raise ValueError("no tests selected")
-    for name in tests:
+    for i, name in enumerate(tests):
         if name not in ANALYZE_TESTS:
             raise ValueError(
                 f"unknown test {name!r}; choose from {', '.join(ANALYZE_TESTS)}"
             )
+        if name in tests[:i]:
+            raise ValueError(f"test {name!r} is named twice")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    words = _orbit(args)[1:]  # n generated states; the seed is echoed below
+    first, f = _run_map(args)
+    words = f.orbit_array(first, args.n)[1:]  # n states; the seed is echoed below
     bits = core.output_array(words, args.width, args.tap)
     values = core.decode_series(words, args.width)
 
@@ -331,8 +331,7 @@ def cmd_cycles(args) -> int:
         raise ValueError("pass one of --seed WORD and --exhaustive")
     _resolve(args)
     if args.seed is not None:
-        config = core.MapConfig(width=args.width, perturbed=args.perturbed)
-        row = (args.seed, *analysis.cycle_detect(config, args.seed))
+        row = (args.seed, *analysis.cycle_detect(args.config, args.seed))
         table = analysis.CycleTable(*(np.array([value]) for value in row))
     else:
         table = analysis.cycle_table(args.width, args.perturbed)

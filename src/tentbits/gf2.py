@@ -8,13 +8,13 @@ register circuit, is read off its images of the k + 1 words 0 and
 bit-parallel simulator clocks them all in one pass.
 
 A linear map applies as one table lookup per byte of the word: table j
-holds M applied to every byte value shifted to bit 8j.  Everything past
-a single composition draws on one squaring sequence of the map (see
-`_Squares`): the powers f^(2^i) for i = 0, 1, ..., each a '<u8' array of
-its k columns and then its constant, with its byte tables.  Each power
-is one `_linear` pass of the tables of the one before over that one's
-array, and each power and each set of tables is built once, when a
-caller first asks for it.
+holds M applied to every byte value shifted to bit 8j.  Powers and
+orbits of the map draw on one squaring sequence of it (see `_Squares`):
+the powers f^(2^i) for i = 0, 1, ..., each a '<u8' array of its k
+columns and then its constant, with its byte tables.  Each power is one
+`_linear` pass of the tables of the one before over that one's array,
+and each power and each set of tables is built once, when a caller
+first asks for it.
 
 * `orbit_array` computes a run of the map by recursive doubling (Kogge
   and Stone, IEEE Trans. Computers C-22, 1973): once the first 2^i
@@ -73,25 +73,14 @@ class AffineMap:
         constant, *images = f([0, *(1 << j for j in range(k))])
         return cls(k, tuple(x ^ constant for x in images), constant)
 
-    @classmethod
-    def _of(cls, array: np.ndarray) -> AffineMap:
-        """The map of a '<u8' array of k columns, then the constant."""
-        *columns, constant = array.tolist()
-        return cls(len(columns), tuple(columns), constant)
-
-    def compose(self, other: AffineMap) -> AffineMap:
-        """The map w -> self(other(w)): other is applied first."""
-        if other.k != self.k:
-            raise ValueError(f"cannot compose k={self.k} with k={other.k}")
-        return self._of(_Squares(self).after(0, np.array([*other.columns, other.constant], _WORD)))
-
     def power(self, n: int) -> AffineMap:
         """The map applied n times; power(0) is the identity."""
         if n < 0:
             raise ValueError(f"need a power n >= 0, got n={n}")
         if n == 0:
             return AffineMap(self.k, tuple(1 << j for j in range(self.k)))
-        return self._of(_Squares(self).product(n))
+        *columns, constant = _Squares(self).product(n).tolist()
+        return AffineMap(self.k, tuple(columns), constant)
 
     def orbit_array(self, w: int, n: int) -> np.ndarray:
         """The n + 1 words w, f(w), ..., f^n(w), with f this map, as a

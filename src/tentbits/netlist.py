@@ -27,9 +27,12 @@ select.  So a run cycle is exactly the affine map w -> M.w ^ c that
 `AffineMap.from_probe` reads off the probe: c is the probe from zero and
 column j of M is the probe from bit j less c.  `run_map` returns the
 loaded word and that map, and no further gate-level clock is needed:
-`run` returns the map's orbit from the loaded word as a uint64 array,
-and `AffineMap.word_blocks` and `bit_blocks` stream its words or one
-tap bit of them, a block at a time (see gf2).
+the map's orbit from the loaded word is the run (see gf2).  The CLI
+takes every circuit run from `run_map`: the whole orbit
+(`AffineMap.orbit_array`), or its words or one tap bit of them a block
+at a time (`AffineMap.word_blocks`, `bit_blocks`).  `run` is the
+one-call orbit as a uint64 array, kept for the API, the tests and the
+demos.
 """
 
 from __future__ import annotations

@@ -38,6 +38,24 @@ class TestGen:
         captured = capsys.readouterr()
         assert captured.out.split() == ["8", "E", "3", "6", "D", "5", "B", "8"]
 
+    def test_word_backend_steps_once_per_state(self, tmp_path, monkeypatch):
+        # the benchmark's traced stream workload predicts n core.step
+        # calls, across every block
+        n = 2 * columns.BLOCK_ROWS + 5
+        words = iterate(MapConfig(width=64), 0x123456789ABCDEF, n)
+        calls = []
+        real_step = core.step
+
+        def counted(config, w):
+            calls.append(w)
+            return real_step(config, w)
+
+        monkeypatch.setattr(core, "step", counted)
+        argv = ["gen", "--bits", "64", "--seed", "0x123456789ABCDEF", "--n", str(n),
+                "--format", "raw", "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_OK
+        assert calls == words[:-1]
+
     def test_degenerate_seed_warns_but_succeeds(self, capsys):
         code = main(["gen", "--bits", "8", "--seed", "0x00", "--n", "5"])
         assert code == EXIT_OK
@@ -217,6 +235,38 @@ class TestNetlistCommand:
         assert main(["gen", *argv, "--format", "hex"]) == EXIT_OK
         assert capsys.readouterr().out == gate
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["netlist", "--simulate", "--format", "raw"],
+            ["netlist", "--simulate", "--format", "hex"],
+            ["analyze", "--backend", "netlist", "--tests", "entropy"],
+        ],
+        ids=("simulate-raw", "simulate-hex", "analyze"),
+    )
+    def test_circuit_runs_clock_the_gates_twice(self, tmp_path, monkeypatch, capsys, argv):
+        # one load pass and one probe pass, then the run cycle's map; the
+        # word model is never stepped
+        lanes, steps = [], []
+        real_lanes, real_step = netlist._clock_lanes, core.step
+
+        def counted_lanes(*args):
+            lanes.append(args)
+            return real_lanes(*args)
+
+        def counted_step(*args):
+            steps.append(args)
+            return real_step(*args)
+
+        monkeypatch.setattr(netlist, "_clock_lanes", counted_lanes)
+        monkeypatch.setattr(core, "step", counted_step)
+        out = ["--out-dir" if argv[0] == "analyze" else "--out", str(tmp_path / "out")]
+        argv = [*argv, "--bits", "64", "--seed", "0x123456789ABCDEF",
+                "--n", str(2 * columns.BLOCK_ROWS + 5), *out]
+        assert main(argv) == EXIT_OK
+        assert len(lanes) == 2
+        assert steps == []
+
     def test_simulate_requires_seed_and_n(self, capsys):
         assert main(["netlist", "--bits", "8", "--simulate"]) == EXIT_USAGE
 
@@ -356,6 +406,17 @@ class TestAnalyze:
         code = main(["analyze", "--bits", "16", "--seed", "0x5A3C", "--n", "100",
                      "--tests", "spectral", "--out-dir", str(tmp_path)])
         assert code == EXIT_USAGE
+
+    def test_test_named_twice_exits_2(self, tmp_path, capsys):
+        # one report entry and one CSV per test: a repeat is refused
+        # before the output directory is made
+        out_dir = tmp_path / "out"
+        code = main(["analyze", "--bits", "16", "--seed", "0x5A3C", "--n", "100",
+                     "--tests", "entropy,histogram,entropy", "--out-dir", str(out_dir)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: test 'entropy' is named twice"]
+        assert not out_dir.exists()
 
     def test_netlist_backend_matches_word(self, tmp_path, capsys):
         word_dir = tmp_path / "word"
@@ -545,8 +606,7 @@ def test_n_past_any_array_is_one_line_error(tmp_path, capsys, monkeypatch, comma
 
     monkeypatch.setattr(core, "iterate", no_states)  # gen
     monkeypatch.setattr(core, "affine_map", no_states)  # analyze
-    monkeypatch.setattr(netlist, "run", no_states)  # either, on the netlist backend
-    monkeypatch.setattr(netlist, "run_map", no_states)  # netlist --simulate's bits
+    monkeypatch.setattr(netlist, "run_map", no_states)  # either, on the netlist backend
     for n in (2**63, 10**20):
         argv = [*command, "--bits", "16", "--seed", "0x5A3C", "--n", str(n)]
         argv += ["--out-dir" if command == ["analyze"] else "--out", str(tmp_path / "out")]
