@@ -19,7 +19,7 @@ from itertools import repeat
 import numpy as np
 
 from . import columns
-from .core import BitWidth, MapConfig, as_width, check_word, step
+from .core import BitWidth, MapConfig, affine_map, as_width, check_word, step
 
 CYCLE_ENUM_MAX_WIDTH = 20
 # points per block of the Rosenstein sweep and divergence loop: bounds
@@ -400,30 +400,29 @@ def cycle_detect(config: MapConfig, seed: int) -> tuple[int, int, bool]:
     before it enters its cycle, the cycle's minimal period, and whether
     that cycle is the fixed point 0.
 
-    Brent's algorithm: constant memory, at most a small multiple of
-    transient + period map evaluations.  The state space is finite so
-    every orbit is eventually periodic.
+    The orbit comes from the step's GF(2) map f.  f is linear, so by
+    Fitting's lemma every orbit is on its cycle after k steps, and a
+    cycle word other than 0 returns within 2^k - 1 steps.  The period
+    is the first return of f^k(seed), scanned a block of words at a
+    time, so memory stays flat: O(period) map words.  The transient is
+    the first t with f^t(seed) = f^t(f^period(seed)).
     """
     seed = check_word(seed, config.width)
-    power = period = 1
-    tortoise = seed
-    hare = step(config, seed)
-    while tortoise != hare:
-        if power == period:
-            tortoise = hare
-            power <<= 1
-            period = 0
-        hare = step(config, hare)
-        period += 1
-    tortoise = hare = seed
-    for _ in range(period):
-        hare = step(config, hare)
-    transient = 0
-    while tortoise != hare:
-        tortoise = step(config, tortoise)
-        hare = step(config, hare)
-        transient += 1
-    return transient, period, period == 1 and tortoise == 0
+    k = config.width.k
+    f = affine_map(config)
+    head = f.orbit_array(seed, k)
+    on = int(head[-1])
+    start = 0
+    for block in f.word_blocks(on, (1 << k) - 1, columns.BLOCK_ROWS):
+        returns = start + np.flatnonzero(block == on)
+        returns = returns[returns > 0]  # word 0 is on itself
+        if returns.size:
+            break
+        start += len(block)
+    period = int(returns[0])
+    ahead = int(f.power(period).orbit_array(seed, 1)[-1])
+    transient = int(np.argmax(head == f.orbit_array(ahead, k)))
+    return transient, period, on == 0
 
 
 def _least_ahead(succ: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tentbits import analysis
+from tentbits import analysis, core
 from tentbits.core import MapConfig, decode_series, iterate, step, tent_exact
 from tentbits.analysis import (
     CYCLE_ENUM_MAX_WIDTH,
@@ -35,7 +35,8 @@ LN2 = math.log(2.0)
 
 
 def walk_cycle(config, seed):
-    """Visited-set oracle for transient and period; independent of Brent."""
+    """Visited-set oracle for transient and period, one step at a time;
+    independent of the GF(2) engine."""
     seen = {}
     w = seed
     index = 0
@@ -206,6 +207,36 @@ class TestCycleDetect:
         assert (transient, period) == (0, 1)
         assert not reaches_zero
 
+    @pytest.mark.parametrize(
+        "k, perturbed, seed, expected",
+        [
+            # the transient equals k, so the k-step bound on it is tight
+            (2, True, 1, (2, 1, True)),
+            (2, True, 2, (2, 1, True)),
+            (32, True, 0x12345678, (0, 2097151, False)),
+            (24, True, 0xABCDE, (0, 8388607, False)),
+            (51, True, 0x123456789ABCD, (0, 33554430, False)),
+            (64, False, 0x5A3C5A3C5A3C5A3C, (0, 16, False)),
+            (63, False, 0x123456789ABCDEF, (1, 63, False)),
+        ],
+    )
+    def test_pinned_orbits(self, k, perturbed, seed, expected):
+        assert cycle_detect(MapConfig(width=k, perturbed=perturbed), seed) == expected
+
+    def test_steps_only_to_probe_the_map(self, monkeypatch):
+        # k + 1 steps read off the GF(2) map; a walk over the orbit would
+        # make millions here (period 2 097 151)
+        calls = []
+
+        def counted(config, w):
+            calls.append(w)
+            return step(config, w)
+
+        monkeypatch.setattr(core, "step", counted)
+        monkeypatch.setattr(analysis, "step", counted)
+        assert cycle_detect(MapConfig(width=32), 0x12345678) == (0, 2097151, False)
+        assert len(calls) == 33
+
 
 def table_rows(table):
     """(seed, transient, period, reaches_zero) of each row, as Python values."""
@@ -227,7 +258,7 @@ class TestCycleTable:
             (3, 1, 1, True),
         ]
 
-    @pytest.mark.parametrize("k", range(2, 9))
+    @pytest.mark.parametrize("k", range(2, 11))
     @pytest.mark.parametrize("perturbed", (True, False))
     def test_matches_cycle_detect(self, k, perturbed):
         config = MapConfig(width=k, perturbed=perturbed)

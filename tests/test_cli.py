@@ -525,6 +525,18 @@ class TestCycles:
             "zero-reaching seeds: 2",
         ]
 
+    def test_wide_seed_pinned(self, capsysbinary):
+        # the bytes the earlier step-by-step walk printed, period 2 097 151
+        assert main(["cycles", "--bits", "32", "--seed", "0x12345678"]) == EXIT_OK
+        captured = capsysbinary.readouterr()
+        assert captured.out == (
+            b"seed,transient,period,reaches_zero\n0x12345678,0,2097151,false\n"
+        )
+        assert captured.err == (
+            b"seeds: 1\nmean period: 2097151.000\nmax period: 2097151\n"
+            b"zero-reaching seeds: 0\n"
+        )
+
     def test_requires_mode(self, capsys):
         assert main(["cycles", "--bits", "8"]) == EXIT_USAGE
 
