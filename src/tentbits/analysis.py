@@ -404,8 +404,8 @@ def cycle_detect(config: MapConfig, seed: int) -> tuple[int, int, bool]:
     Fitting's lemma every orbit is on its cycle after k steps, and a
     cycle word other than 0 returns within 2^k - 1 steps.  The period
     is the first return of f^k(seed), scanned a block of words at a
-    time, so memory stays flat: O(period) map words.  The transient is
-    the first t with f^t(seed) = f^t(f^period(seed)).
+    time: O(period) map words of time, two blocks of memory.  The
+    transient is the first t with f^t(seed) = f^t(f^period(seed)).
     """
     seed = check_word(seed, config.width)
     k = config.width.k

@@ -8,13 +8,13 @@ register circuit, is read off its images of the k + 1 words 0 and
 bit-parallel simulator clocks them all in one pass.
 
 A linear map applies as one table lookup per byte of the word: table j
-holds M applied to every byte value shifted to bit 8j.  Powers and
-orbits of the map draw on one squaring sequence of it (see `_Squares`):
+holds M applied to every byte value shifted to bit 8j.  Each map owns
+one squaring sequence (see `_Squares`), which lives as long as it:
 the powers f^(2^i) for i = 0, 1, ..., each a '<u8' array of its k
 columns and then its constant, with its byte tables.  Each power is one
-`_linear` pass of the tables of the one before over that one's array,
-and each power and each set of tables is built once, when a caller
-first asks for it.
+`_linear` pass of the tables of the one before over that one's array.
+Each power and each set of tables is built once, when a call on the
+map first needs it, and every later call on that map reuses it.
 
 * `orbit_array` computes a run of the map by recursive doubling (Kogge
   and Stone, IEEE Trans. Computers C-22, 1973): once the first 2^i
@@ -22,20 +22,21 @@ first asks for it.
   array, so each word is computed once in about log2(n) rounds.
 * `power(n)` composes the powers of n's set bits.
 * `word_blocks` and `bit_blocks` go on from a first block of `rows`
-  words by jumps of f^rows, taken from the sequence that block's
-  doubling used; for rows = 2^m, f^rows is its next power, one squaring
-  on.  `word_blocks` maps each block onto the next.  `bit_blocks` jumps
-  only the tap row (F2-linear jump-ahead; Haramoto et al., INFORMS J.
-  Computing 20, 2008): bit b of f^t(w) is the parity of w AND r_t, xor
-  a constant bit, where r_t is row b of the linear part of f^t.  So one
-  block of words, each block's row and constant bit give every later
-  block's bits.
+  words by jumps of f^rows, taken from the map's sequence; for
+  rows = 2^m, f^rows is one squaring past the last power that block's
+  doubling used.  `word_blocks` maps each block onto the next.
+  `bit_blocks` jumps only the tap row (F2-linear jump-ahead; Haramoto et
+  al., INFORMS J. Computing 20, 2008): bit b of f^t(w) is the parity of
+  w AND r_t, xor a constant bit, where r_t is row b of the linear part
+  of f^t.  So one block of words, each block's row and constant bit give
+  every later block's bits.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,31 +80,23 @@ class AffineMap:
             raise ValueError(f"need a power n >= 0, got n={n}")
         if n == 0:
             return AffineMap(self.k, tuple(1 << j for j in range(self.k)))
-        *columns, constant = _Squares(self).product(n).tolist()
+        *columns, constant = self._squares.product(n).tolist()
         return AffineMap(self.k, tuple(columns), constant)
 
     def orbit_array(self, w: int, n: int) -> np.ndarray:
         """The n + 1 words w, f(w), ..., f^n(w), with f this map, as a
-        '<u8' array, by recursive doubling."""
-        return self._orbit(w, n, _Squares(self))
-
-    def _orbit(self, w: int, n: int, squares: _Squares) -> np.ndarray:
-        """orbit_array, from this map's squaring sequence: round i maps
-        the first 2^i words by power i."""
+        '<u8' array, by recursive doubling: round i maps the first 2^i
+        words by power i of the map's squaring sequence."""
         if n < 0:
             raise ValueError(f"need n >= 0 steps, got n={n}")
         if not 0 <= w < 1 << self.k:
             raise ValueError(f"word {w:#x} does not fit in {self.k} bits")
         out = np.empty(n + 1, _WORD)
         out[0] = w
-        done, i = 1, 0  # done = 2^i words are known
-        while done <= n:
+        for i in range(n.bit_length()):  # 2^i words are known before round i
+            done = 1 << i
             todo = min(done, n + 1 - done)
-            block = _linear(squares.tables(i), out[:todo])
-            block ^= squares.power(i)[-1]
-            out[done : done + todo] = block
-            done += todo
-            i += 1
+            out[done : done + todo] = self._squares.apply(done, out[:todo])
         return out
 
     def word_blocks(self, w: int, n: int, rows: int) -> Iterator[np.ndarray]:
@@ -115,7 +108,7 @@ class AffineMap:
         f^rows applied to the block before.  It holds two blocks,
         whatever n is.
         """
-        return _word_blocks(*self._first_block(w, n, rows), n, rows)
+        return _word_blocks(self._first_block(w, n, rows), self._squares, n, rows)
 
     def bit_blocks(self, w: int, n: int, bit: int, rows: int) -> Iterator[np.ndarray]:
         """Bit `bit` of each of the n + 1 words w, f(w), ..., f^n(w), as
@@ -129,19 +122,22 @@ class AffineMap:
         """
         if not 0 <= bit < self.k:
             raise ValueError(f"need a bit in 0..{self.k - 1}, got bit={bit}")
-        return _bit_blocks(*self._first_block(w, n, rows), n, bit, rows)
+        return _bit_blocks(self._first_block(w, n, rows), self._squares, n, bit, rows)
 
-    def _first_block(self, w: int, n: int, rows: int) -> tuple[np.ndarray, _Squares]:
-        """The orbit's first `rows` words (all n + 1 if fewer), and the
-        squaring sequence whose doubling made them."""
+    def _first_block(self, w: int, n: int, rows: int) -> np.ndarray:
+        """The orbit's first `rows` words (all n + 1 if fewer)."""
         if rows < 1:
             raise ValueError(f"need rows >= 1, got rows={rows}")
-        squares = _Squares(self)
-        return self._orbit(w, min(n, rows - 1), squares), squares
+        return self.orbit_array(w, min(n, rows - 1))
+
+    @cached_property
+    def _squares(self) -> _Squares:
+        """This map's squaring sequence, built on first use; not a field."""
+        return _Squares(self)
 
 
 class _Squares:
-    """The squaring sequence f^(2^i), i = 0, 1, ..., of one affine map f.
+    """The squaring sequence f^(2^i), i >= 0, that an affine map f owns while f lives.
 
     Power i is a '<u8' array of its k columns, then its constant.  Power
     i + 1 is power i after itself, one _linear pass of power i's tables;
@@ -149,19 +145,19 @@ class _Squares:
     """
 
     def __init__(self, f: AffineMap) -> None:
-        self._powers = [np.array([*f.columns, f.constant], _WORD)]
-        self._tables: list[np.ndarray] = []
+        self._powers = {0: np.array([*f.columns, f.constant], _WORD)}
+        self._tables: dict[int, np.ndarray] = {}
 
     def power(self, i: int) -> np.ndarray:
         """f^(2^i) as an array, which the caller must not write to."""
-        while len(self._powers) <= i:
-            self._powers.append(self.after(len(self._powers) - 1, self._powers[-1]))
+        if i not in self._powers:
+            self._powers[i] = self.after(i - 1, self.power(i - 1))
         return self._powers[i]
 
     def tables(self, i: int) -> np.ndarray:
         """The byte tables of power i's linear part (see _linear)."""
-        while len(self._tables) <= i:
-            self._tables.append(_tables(self.power(len(self._tables))[:-1]))
+        if i not in self._tables:
+            self._tables[i] = _tables(self.power(i)[:-1])
         return self._tables[i]
 
     def after(self, i: int, array: np.ndarray) -> np.ndarray:
@@ -169,6 +165,15 @@ class _Squares:
         out = _linear(self.tables(i), array)
         out[-1] ^= self.power(i)[-1]
         return out
+
+    def apply(self, n: int, words: np.ndarray) -> np.ndarray:
+        """f^n of each word of a contiguous '<u8' array, for n >= 1, as a
+        new array: one pass of power i for each set bit i of n."""
+        for i in range(n.bit_length()):
+            if n >> i & 1:
+                words = _linear(self.tables(i), words)
+                words ^= self.power(i)[-1]
+        return words
 
     def product(self, n: int) -> np.ndarray:
         """f^n for n >= 1: the powers of n's set bits composed, low bit
@@ -183,22 +188,17 @@ class _Squares:
 def _word_blocks(
     block: np.ndarray, squares: _Squares, n: int, rows: int
 ) -> Iterator[np.ndarray]:
-    """AffineMap.word_blocks, given its first block and squaring sequence."""
+    """AffineMap.word_blocks, given its first block and the map's squares."""
     yield block
-    if n < rows:
-        return
-    jump = squares.product(rows)
-    tables = _tables(jump[:-1])
     for start in range(rows, n + 1, rows):
-        block = _linear(tables, block[: n + 1 - start])
-        block ^= jump[-1]
+        block = squares.apply(rows, block[: n + 1 - start])
         yield block
 
 
 def _bit_blocks(
     first: np.ndarray, squares: _Squares, n: int, bit: int, rows: int
 ) -> Iterator[np.ndarray]:
-    """AffineMap.bit_blocks, given its first block and squaring sequence."""
+    """AffineMap.bit_blocks, given its first block and the map's squares."""
     row, flip = 1 << bit, 0  # bit `bit` of f^0: the tap row of the identity
     jump = squares.product(rows) if n >= rows else None
     for start in range(0, n + 1, rows):

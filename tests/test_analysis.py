@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tentbits import analysis, core
+from tentbits import analysis, core, gf2
 from tentbits.core import MapConfig, decode_series, iterate, step, tent_exact
 from tentbits.analysis import (
     CYCLE_ENUM_MAX_WIDTH,
@@ -236,6 +236,27 @@ class TestCycleDetect:
         monkeypatch.setattr(analysis, "step", counted)
         assert cycle_detect(MapConfig(width=32), 0x12345678) == (0, 2097151, False)
         assert len(calls) == 33
+
+    @pytest.mark.parametrize(
+        "k, seeds", ((10, range(1 << 10)), (16, range(3, 1 << 16, 251)))
+    )
+    def test_one_squaring_sequence(self, k, seeds, monkeypatch):
+        # the head, the scan, f^period and the second orbit all draw on
+        # f's one sequence: the tables of at most k powers of f (a period
+        # is below 2^k), and one for f^period's own single step
+        builds = []
+        real = gf2._tables
+
+        def counted(columns):
+            builds.append(columns)
+            return real(columns)
+
+        monkeypatch.setattr(gf2, "_tables", counted)
+        config = MapConfig(width=k)
+        for seed in seeds:
+            builds.clear()
+            cycle_detect(config, seed)
+            assert len(builds) <= k + 1, seed
 
 
 def table_rows(table):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tentbits import gf2
+from tentbits import core, gf2
+from tentbits import netlist as nl
 from tentbits.gf2 import AffineMap
 
 
@@ -194,15 +195,15 @@ def _count_calls(monkeypatch, *names):
 
 
 def _record_doublings(monkeypatch):
-    """The length of each doubling's orbit, until monkeypatch.undo()."""
+    """The length of each orbit_array call's orbit, until monkeypatch.undo()."""
     lengths = []
-    real = AffineMap._orbit
+    real = AffineMap.orbit_array
 
-    def recorded(self, w, n, squares):
+    def recorded(self, w, n):
         lengths.append(n + 1)
-        return real(self, w, n, squares)
+        return real(self, w, n)
 
-    monkeypatch.setattr(AffineMap, "_orbit", recorded)
+    monkeypatch.setattr(AffineMap, "orbit_array", recorded)
     return lengths
 
 
@@ -310,3 +311,63 @@ class TestWordBlocks:
         for args, message in cases:
             with pytest.raises(ValueError, match=message):
                 m.word_blocks(*args)
+
+
+def _joined(blocks):
+    return np.concatenate(list(blocks)).tolist()
+
+
+class TestOneSequencePerMap:
+    # each map holds one squaring sequence, built on its first use: a
+    # later call on the same map reuses its powers and tables
+    @pytest.mark.parametrize("rows", (64, 100))
+    @pytest.mark.parametrize(
+        "call",
+        (
+            lambda m, rows: m.orbit_array(5, 3 * rows + 5).tolist(),
+            lambda m, rows: _joined(m.word_blocks(5, 3 * rows + 5, rows)),
+            lambda m, rows: _joined(m.bit_blocks(5, 3 * rows + 5, 63, rows)),
+            lambda m, rows: m.power(3 * rows + 5),
+        ),
+        ids=("orbit_array", "word_blocks", "bit_blocks", "power"),
+    )
+    def test_second_call_builds_no_tables(self, call, rows, monkeypatch):
+        m = _random_map(64, random.Random(rows))
+        first = call(m, rows)
+        calls = _count_calls(monkeypatch, "_tables")
+        assert call(m, rows) == first
+        assert calls == {"_tables": 0}
+        monkeypatch.undo()
+        assert first == call(_random_map(64, random.Random(rows)), rows)
+
+    def test_calls_share_the_sequence(self, monkeypatch):
+        # orbit_array(w, 1023) builds the tables of powers 0..9; the
+        # blocks of 1 024 and the 1 024th power then take power 10, one
+        # more build between them
+        m = _random_map(64, random.Random(4))
+        calls = _count_calls(monkeypatch, "_tables")
+        m.orbit_array(3, 1023)
+        assert calls == {"_tables": 10}
+        list(m.word_blocks(3, 5000, 1024))
+        list(m.bit_blocks(3, 5000, 0, 1024))
+        m.power(1024)
+        assert calls == {"_tables": 11}
+
+    def test_sequence_is_not_a_field(self):
+        # ==, hash and repr see only k, the columns and the constant
+        m = _random_map(40, random.Random(6))
+        m.orbit_array(1, 1000)
+        fresh = AffineMap(m.k, m.columns, m.constant)
+        assert "_squares" in vars(m) and "_squares" not in vars(fresh)
+        assert m == fresh
+        assert hash(m) == hash(fresh)
+        assert repr(m) == repr(fresh)
+
+    def test_no_cache_of_maps(self):
+        # a map and its sequence live as long as the caller keeps the map
+        config = core.MapConfig(width=16)
+        assert core.affine_map(config) == core.affine_map(config)
+        assert core.affine_map(config) is not core.affine_map(config)
+        netlist = nl.build_tent_netlist(16)
+        assert nl.run_map(netlist, 5) == nl.run_map(netlist, 5)
+        assert nl.run_map(netlist, 5)[1] is not nl.run_map(netlist, 5)[1]
