@@ -15,16 +15,16 @@ from tentbits import (
     run,
 )
 
-circuit = build_tent_netlist(8)
+circuit = build_tent_netlist(MapConfig(8))
 print("8-bit circuit census:", element_stats(circuit).describe())
 
 print("\nelements per bit as the width grows:")
 for k in (8, 16, 32, 64):
-    total = element_stats(build_tent_netlist(k)).total
+    total = element_stats(build_tent_netlist(MapConfig(k))).total
     print(f"  k={k:2d}: {total:3d} elements, {total / k:.3f} per bit")
 
 # the text export is one element per line and parses back
-text = export_text(build_tent_netlist(4))
+text = export_text(build_tent_netlist(MapConfig(4)))
 print("\n4-bit netlist export:")
 print(text)
 rebuilt = parse_text(text)
@@ -32,8 +32,9 @@ assert export_text(rebuilt) == text
 
 # gate-level simulation reproduces the word model bit for bit
 seed, steps = 0xB7, 500
-gate_words = run(build_tent_netlist(8), seed, steps).tolist()  # a uint64 array
-word_words = iterate(MapConfig(width=8), seed, steps)
+config = MapConfig(width=8)
+gate_words = run(build_tent_netlist(config), seed, steps).tolist()  # a uint64 array
+word_words = iterate(config, seed, steps)
 assert gate_words == word_words
 print(f"gate-level run of {steps} cycles matches the word model "
       f"({len(gate_words)} states, first five: "

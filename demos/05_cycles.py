@@ -10,7 +10,7 @@ from tentbits import MapConfig, cycle_census, cycle_detect, cycle_table
 print(f"{'k':>3} {'variant':<12} {'mean period':>12} {'max period':>11} {'drain to 0':>11}")
 for k in (4, 6, 8, 10, 12, 14, 16):
     for perturbed in (False, True):
-        census = cycle_census(k, perturbed=perturbed)
+        census = cycle_census(MapConfig(k, perturbed=perturbed))
         label = "perturbed" if perturbed else "plain"
         print(f"{k:>3} {label:<12} {census.mean_period:>12.1f} "
               f"{census.max_period:>11} {census.zero_reaching:>11}")
@@ -26,7 +26,7 @@ for seed in (0x00, 0xFF, 0x01, 0x40, 0x9C):
 
 # at 4 bits the whole table fits on screen
 print("\nfull 4-bit table (perturbed):")
-table = cycle_table(4)
+table = cycle_table(MapConfig(4))
 for seed, transient, period in zip(
     table.seed.tolist(), table.transient.tolist(), table.period.tolist()
 ):

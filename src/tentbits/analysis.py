@@ -86,19 +86,15 @@ class CycleTable:
 class CycleCensus:
     """Aggregate over the seeds of a cycle table."""
 
-    width: int
-    perturbed: bool
     seeds: int
     mean_period: float
     max_period: int
     zero_reaching: int
 
     @classmethod
-    def of(cls, table: CycleTable, width: BitWidth | int, perturbed: bool) -> CycleCensus:
+    def of(cls, table: CycleTable) -> CycleCensus:
         # an integer sum divided once, as exact as Python's sum over ints
         return cls(
-            width=as_width(width).k,
-            perturbed=perturbed,
             seeds=len(table),
             mean_period=int(table.period.sum()) / len(table),
             max_period=int(table.period.max()),
@@ -486,20 +482,19 @@ def _classify(succ: np.ndarray):
     return transient, period, root
 
 
-def cycle_table(width: BitWidth | int, perturbed: bool = True) -> CycleTable:
-    """Cycle report for every seed of a width, exhaustively.
+def cycle_table(config: MapConfig) -> CycleTable:
+    """Cycle report for every seed of a configuration's width, exhaustively.
 
     One map evaluation per word builds the successor table; the
     functional graph is then classified with whole-array operations.
     Results match cycle_detect.
     """
-    width = as_width(width)
-    if width.k > CYCLE_ENUM_MAX_WIDTH:
+    k = config.width.k
+    if k > CYCLE_ENUM_MAX_WIDTH:
         raise ValueError(
             f"exhaustive enumeration is limited to {CYCLE_ENUM_MAX_WIDTH} bits"
         )
-    config = MapConfig(width=width, perturbed=perturbed)
-    size = 1 << width.k
+    size = 1 << k
     succ = np.fromiter(
         map(step, repeat(config, size), range(size)), dtype=np.intp, count=size
     )
@@ -512,9 +507,9 @@ def cycle_table(width: BitWidth | int, perturbed: bool = True) -> CycleTable:
     )
 
 
-def cycle_census(width: BitWidth | int, perturbed: bool = True) -> CycleCensus:
-    """Aggregate cycle statistics over every seed of a width."""
-    return CycleCensus.of(cycle_table(width, perturbed), width, perturbed)
+def cycle_census(config: MapConfig) -> CycleCensus:
+    """Aggregate cycle statistics over every seed of a configuration's width."""
+    return CycleCensus.of(cycle_table(config))
 
 
 def write_histogram_csv(result: HistogramResult, path) -> None:

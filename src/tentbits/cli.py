@@ -7,7 +7,7 @@ enumerates cycle structure, and `compare` prints the elements-per-bit
 table against published generators.
 
 Exit codes: 0 success, 2 usage, configuration or allocation error, 3 every
-selected analysis failed.
+selected analysis failed, 141 (128 + SIGPIPE) the reader closed the pipe.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import secrets
 import sys
 from collections.abc import Iterator
@@ -28,6 +29,7 @@ from . import analysis, columns, core, gf2, netlist as nl
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_ALL_TESTS_FAILED = 3
+EXIT_BROKEN_PIPE = 141
 
 # Published element counts for tent-map generators; fixed reference
 # constants, not reimplementations.
@@ -52,12 +54,11 @@ def _seed_hex(args) -> str:
 
 
 def _resolve(args) -> None:
-    """Check the shared flags in place: set args.width, args.perturbed and
-    args.config and, when there is a seed to run, replace args.seed by its
-    checked word.  A drawn 'random' seed is echoed once n is checked too."""
-    args.width = core.BitWidth(args.bits)
-    args.perturbed = args.variant == "perturbed"
-    args.config = core.MapConfig(args.width, args.perturbed)
+    """Check the shared flags in place: set args.config and args.width and,
+    when there is a seed to run, replace args.seed by its checked word.  A
+    drawn 'random' seed is echoed once n is checked too."""
+    args.config = core.MapConfig(args.bits, args.variant == "perturbed")
+    args.width = args.config.width
     n = getattr(args, "n", 1)  # cycles takes no --n
     if args.seed is None or n is None:
         return
@@ -79,7 +80,7 @@ def _resolve(args) -> None:
 
 
 def _warn_degenerate(args) -> None:
-    step = core.steps_to_zero(args.seed, args.width, args.perturbed)
+    step = core.steps_to_zero(args.config, args.seed)
     if step is not None:
         print(
             f"warning: degenerate seed {_seed_hex(args)} reaches the absorbing "
@@ -93,7 +94,7 @@ def _run_map(args) -> tuple[int, gf2.AffineMap]:
     word and the map of one run cycle of the circuit (netlist backend), or
     the seed and core.step's map (word backend)."""
     if args.backend == "netlist":
-        return nl.run_map(nl.build_tent_netlist(args.width, args.perturbed), args.seed)
+        return nl.run_map(nl.build_tent_netlist(args.config), args.seed)
     return args.seed, core.affine_map(args.config)
 
 
@@ -185,7 +186,7 @@ def cmd_netlist(args) -> int:
     if args.simulate:
         return cmd_gen(args)
     _resolve(args)
-    circuit = nl.build_tent_netlist(args.width, perturbed=args.perturbed)
+    circuit = nl.build_tent_netlist(args.config)
     if args.stats:
         print(nl.element_stats(circuit).describe())
     else:
@@ -334,11 +335,11 @@ def cmd_cycles(args) -> int:
         row = (args.seed, *analysis.cycle_detect(args.config, args.seed))
         table = analysis.CycleTable(*(np.array([value]) for value in row))
     else:
-        table = analysis.cycle_table(args.width, args.perturbed)
+        table = analysis.cycle_table(args.config)
 
     analysis.write_cycle_reports_csv(table, args.width, args.out)
 
-    census = analysis.CycleCensus.of(table, args.width, args.perturbed)
+    census = analysis.CycleCensus.of(table)
     summary = [
         f"seeds: {census.seeds}",
         f"mean period: {census.mean_period:.3f}",
@@ -359,9 +360,8 @@ def _ratio(elements: int, bits: int) -> str:
 def cmd_compare(args) -> int:
     rows = []
     for bits in args.widths:
-        width = core.BitWidth(bits)
-        total = nl.element_stats(nl.build_tent_netlist(width)).total
-        rows.append(("this work", width.k, total))
+        circuit = nl.build_tent_netlist(core.MapConfig(bits))
+        rows.append(("this work", bits, nl.element_stats(circuit).total))
     rows.extend(LITERATURE_ROWS)
     print(f"{'source':<28} {'bits':>5} {'elements':>9} {'ratio':>7}")
     for source, bits, elements in rows:
@@ -460,6 +460,10 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # not bad input; stdout goes to devnull so the exit flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

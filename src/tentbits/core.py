@@ -68,10 +68,9 @@ def check_word(w: int, width: BitWidth | int) -> int:
 
 @dataclass(frozen=True)
 class MapConfig:
-    """Generator configuration: width and perturbation switch.
-
-    The slope is fixed at 2: the shift-register construction realizes
-    the multiply as a shift and supports no other slope.
+    """Generator configuration, the one carrier of the variant: the word
+    model, the circuit and the cycle census all take one.  The slope is
+    fixed at 2: the shift register realizes the multiply as a shift.
     """
 
     width: BitWidth
@@ -272,7 +271,7 @@ def decode_series(words, width: BitWidth | int) -> np.ndarray:
     return np.fromiter((w / m for w in array.tolist()), float, len(array))
 
 
-def steps_to_zero(w: int, width: BitWidth | int, perturbed: bool = True) -> int | None:
+def steps_to_zero(config: MapConfig, w: int) -> int | None:
     """The step at which the orbit of w reaches the absorbing fixed point 0,
     or None if it never does; worked out from the step rule, with no step.
 
@@ -283,10 +282,10 @@ def steps_to_zero(w: int, width: BitWidth | int, perturbed: bool = True) -> int 
     there at step 0, all-ones at step 1, the two others at k = 2 at step
     2, and every other word never.
     """
-    width = as_width(width)
+    width = config.width
     w = check_word(w, width)
     if w == 0:
         return 0
     if w == width.max_word:
         return 1
-    return 2 if perturbed and width.k == 2 else None
+    return 2 if config.perturbed and width.k == 2 else None

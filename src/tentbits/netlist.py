@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import BitWidth, as_width, check_word
+from .core import BitWidth, MapConfig, check_word
 from .gf2 import AffineMap
 
 XOR2 = "XOR2"
@@ -135,16 +135,15 @@ class ElementStats:
         return ", ".join(parts) + f", total {self.total}"
 
 
-def build_tent_netlist(width: BitWidth | int, perturbed: bool = True) -> Netlist:
-    """Construct the register circuit for the given width.
+def build_tent_netlist(config: MapConfig) -> Netlist:
+    """Construct the register circuit of a generator configuration.
 
     The complement bank computes c_i = b0 xor b_i for i = 1..k-1; the
     serial input of the shift register is b_{k-1} xor b_{k-2}, or a
-    constant zero when the perturbation is disabled (that variant drops
-    the perturbation gate and is only useful for cycle experiments).
+    constant zero when config.perturbed is off (that variant drops the
+    perturbation gate and is only useful for cycle experiments).
     """
-    width = as_width(width)
-    k = width.k
+    k = config.width.k
     b = [f"b{i}" for i in range(k)]
     d = [f"d{i}" for i in range(k)]
     seeds = [f"seed{i}" for i in range(k)]
@@ -152,7 +151,7 @@ def build_tent_netlist(width: BitWidth | int, perturbed: bool = True) -> Netlist
     elements: list[Element] = []
     for i in range(1, k):
         elements.append(Element(f"cmpl{i}", XOR2, (b[0], b[i]), (f"c{i}",)))
-    if perturbed:
+    if config.perturbed:
         elements.append(Element("pert", XOR2, (b[k - 1], b[k - 2]), ("p",)))
         serial = "p"
         zero_nets: tuple[str, ...] = ()
@@ -164,7 +163,7 @@ def build_tent_netlist(width: BitWidth | int, perturbed: bool = True) -> Netlist
     for i in range(k):
         elements.append(Element(f"ff{i}", DFF, (d[i],), (b[i],)))
 
-    return Netlist(width=width, elements=tuple(elements), zero_nets=zero_nets)
+    return Netlist(width=config.width, elements=tuple(elements), zero_nets=zero_nets)
 
 
 def element_stats(netlist: Netlist) -> ElementStats:
@@ -307,8 +306,7 @@ def run(netlist: Netlist, seed: int, n: int) -> np.ndarray:
 
     Returns the n + 1 register words as a '<u8' array: the orbit of
     run_map's cycle from its loaded word.  Bit-for-bit equal to the word
-    model: run(netlist, w0, n) matches iterate(MapConfig(width), w0, n)
-    for netlists built here.
+    model: run(build_tent_netlist(config), w0, n) is iterate(config, w0, n).
     """
     if n < 1:
         raise ValueError(f"need at least one cycle, got n={n}")

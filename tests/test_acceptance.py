@@ -78,7 +78,7 @@ def _ratio(elements: int, bits: int) -> str:
 
 def test_criterion_1_element_census(capsys):
     check = _Check(1, "element census", budget=1.0)
-    totals = {k: element_stats(build_tent_netlist(k)).total for k in (8, 16, 32, 64)}
+    totals = {k: element_stats(build_tent_netlist(MapConfig(k))).total for k in (8, 16, 32, 64)}
     ok = totals == {8: 17, 16: 33, 32: 65, 64: 129}
     ratios = {k: _ratio(totals[k], k) for k in (16, 32, 64)}
     ok = ok and ratios == {16: "2.063", 32: "2.031", 64: "2.016"}
@@ -88,7 +88,7 @@ def test_criterion_1_element_census(capsys):
 
 def test_criterion_2_model_equivalence(capsys):
     check = _Check(2, "netlist vs word model, 256 seeds x 1000 steps", budget=10.0)
-    circuit = build_tent_netlist(8)
+    circuit = build_tent_netlist(MapConfig(8))
     config = MapConfig(width=8)
     mismatches = 0
     for seed in range(256):
@@ -176,7 +176,7 @@ def test_criterion_8_cycle_structure(capsys):
     ok = True
     for k in (4, 8):
         mask = (1 << k) - 1
-        table = cycle_table(k, perturbed=True)
+        table = cycle_table(MapConfig(k, perturbed=True))
         zero_seeds = set(table.seed[table.reaches_zero].tolist())
         ok = ok and zero_seeds == {0, mask}
         # independent visited-set oracle over every seed

@@ -272,7 +272,7 @@ def table_rows(table):
 class TestCycleTable:
     def test_two_bit_hand_enumeration(self):
         # f: 0->0, 1->3, 2->3, 3->0; every orbit drains into the fixed point
-        assert list(table_rows(cycle_table(2))) == [
+        assert list(table_rows(cycle_table(MapConfig(2)))) == [
             (0, 0, 1, True),
             (1, 2, 1, True),
             (2, 2, 1, True),
@@ -283,23 +283,23 @@ class TestCycleTable:
     @pytest.mark.parametrize("perturbed", (True, False))
     def test_matches_cycle_detect(self, k, perturbed):
         config = MapConfig(width=k, perturbed=perturbed)
-        table = cycle_table(k, perturbed)
+        table = cycle_table(config)
         assert table.seed.tolist() == list(range(1 << k))
         for seed, *row in table_rows(table):
             assert tuple(row) == cycle_detect(config, seed)
 
     def test_four_bit_zero_reaching_set(self):
-        table = cycle_table(4)
+        table = cycle_table(MapConfig(4))
         assert table.seed[table.reaches_zero].tolist() == [0, 15]
 
     def test_width_bound(self):
         with pytest.raises(ValueError):
-            cycle_table(CYCLE_ENUM_MAX_WIDTH + 1)
+            cycle_table(MapConfig(CYCLE_ENUM_MAX_WIDTH + 1))
 
     @pytest.mark.parametrize("perturbed", (True, False))
     def test_report_field_invariants(self, perturbed):
         size = 1 << 8
-        table = cycle_table(8, perturbed)
+        table = cycle_table(MapConfig(8, perturbed))
         assert len(table) == size
         assert (table.period >= 1).all()
         assert (table.transient >= 0).all()
@@ -314,7 +314,7 @@ class TestCycleTable:
             return step(config, w)
 
         monkeypatch.setattr(analysis, "step", counted)
-        assert len(cycle_table(10)) == 1024
+        assert len(cycle_table(MapConfig(10))) == 1024
         assert len(calls) == 1024
 
 
@@ -428,31 +428,31 @@ class TestClassify:
 
 class TestCycleCensus:
     def test_four_bit_aggregate(self):
-        census = cycle_census(4)
+        census = cycle_census(MapConfig(4))
         assert census.zero_reaching == 2
         assert census.max_period == 7
         assert census.seeds == 16
         assert census.mean_period == pytest.approx((2 * 1 + 14 * 7) / 16)
 
     def test_eight_bit_variants_measured(self):
-        perturbed = cycle_census(8, perturbed=True)
-        plain = cycle_census(8, perturbed=False)
+        perturbed = cycle_census(MapConfig(8, perturbed=True))
+        plain = cycle_census(MapConfig(8, perturbed=False))
         assert perturbed.zero_reaching == 2
         # direction is measured, not asserted; record both max periods
         assert perturbed.max_period >= 1 and plain.max_period >= 1
         assert perturbed.max_period != plain.max_period
 
     def test_determinism(self):
-        assert cycle_census(6) == cycle_census(6)
+        assert cycle_census(MapConfig(6)) == cycle_census(MapConfig(6))
 
     def test_twenty_bit_census_pinned(self):
         # the earlier per-seed sweep's figures; 516033 = lcm(63, 8191)
-        perturbed = cycle_census(20)
+        perturbed = cycle_census(MapConfig(20))
         assert perturbed.seeds == 1 << 20
         assert perturbed.max_period == 516033
         assert perturbed.mean_period == 508035.95264434814
         assert perturbed.zero_reaching == 2
-        plain = cycle_census(20, perturbed=False)
+        plain = cycle_census(MapConfig(20, perturbed=False))
         assert plain.max_period == 20
         assert plain.mean_period == 19.979995727539062
 
@@ -853,7 +853,7 @@ class TestCsvWriters:
 
     def test_cycle_reports_csv(self, tmp_path):
         path = tmp_path / "cycles.csv"
-        write_cycle_reports_csv(cycle_table(2), 2, path)
+        write_cycle_reports_csv(cycle_table(MapConfig(2)), 2, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "seed,transient,period,reaches_zero"
         assert lines[1] == "0x0,0,1,true"

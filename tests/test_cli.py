@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from tentbits import analysis, cli, columns, core, netlist
-from tentbits.cli import EXIT_ALL_TESTS_FAILED, EXIT_OK, EXIT_USAGE, main
+from tentbits.cli import EXIT_ALL_TESTS_FAILED, EXIT_BROKEN_PIPE, EXIT_OK, EXIT_USAGE, main
 from tentbits.core import MapConfig, decode_series, iterate, output_array
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -158,6 +158,12 @@ class TestNetlistCommand:
         assert main(["netlist", "--bits", "8", "--stats"]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "XOR2 8, DFF 8, MUX 1, total 17"
 
+    def test_stats_line_unperturbed(self, capsys):
+        # the variant drops the perturbation gate and feeds a constant zero
+        argv = ["netlist", "--bits", "8", "--stats", "--variant", "unperturbed"]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == "XOR2 7, DFF 8, MUX 1, total 16\n"
+
     def test_stats_64_bit_total(self, capsys):
         assert main(["netlist", "--bits", "64", "--stats"]) == EXIT_OK
         assert "total 129" in capsys.readouterr().out
@@ -168,7 +174,7 @@ class TestNetlistCommand:
         from tentbits.netlist import build_tent_netlist, export_text, parse_text
 
         text = out.read_text()
-        assert text == export_text(build_tent_netlist(6))
+        assert text == export_text(build_tent_netlist(MapConfig(6)))
         assert parse_text(text).width.k == 6
 
     def test_export_stdout_matches_file(self, tmp_path, capsysbinary):
@@ -230,7 +236,7 @@ class TestNetlistCommand:
         argv = ["--bits", "8", "--seed", "0x5A", "--n", "20", "--variant", variant]
         assert main(["netlist", *argv, "--simulate", "--format", "hex"]) == EXIT_OK
         assert len(built) == 1
-        assert built[0] == real_build(8, perturbed=variant == "perturbed")
+        assert built[0] == real_build(MapConfig(8, perturbed=variant == "perturbed"))
         gate = capsys.readouterr().out
         assert main(["gen", *argv, "--format", "hex"]) == EXIT_OK
         assert capsys.readouterr().out == gate
@@ -486,6 +492,20 @@ class TestCycles:
         captured = capsys.readouterr()
         assert "zero-reaching seeds: 2" in captured.err
         assert len(captured.out.splitlines()) == 17  # header + 16 seeds
+
+    @pytest.mark.parametrize(
+        "variant, mean, top",
+        [("perturbed", "529.199", 595), ("unperturbed", "11.779", 12)],
+    )
+    def test_exhaustive_summary_in_each_variant(self, capsys, variant, mean, top):
+        argv = ["cycles", "--bits", "12", "--exhaustive", "--variant", variant]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [
+            "seeds: 4096",
+            f"mean period: {mean}",
+            f"max period: {top}",
+            "zero-reaching seeds: 2",
+        ]
 
     def test_exhaustive_to_file(self, tmp_path, capsys):
         out = tmp_path / "cycles.csv"
@@ -787,14 +807,19 @@ def test_bad_analyze_flag_makes_no_out_dir(tmp_path, capsys, flags, message, tes
     assert not out_dir.exists()
 
 
-def run_python(*args):
-    """A fresh interpreter with this checkout's src first on its path."""
+def child_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def run_python(*args):
+    """A fresh interpreter with this checkout's src first on its path."""
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, *args], env=child_env(), capture_output=True, text=True, timeout=60
     )
 
 
@@ -805,6 +830,29 @@ def test_module_entry_point_runs_main():
     )
     assert result.returncode == EXIT_OK, result.stderr
     assert result.stdout.split("\n") == ["8", "E", "3", "6", "D", "5", "B", "8", ""]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--bits", "8", "--seed", "5", "--n", "1000000"],
+        ["gen", "--bits", "8", "--seed", "5", "--n", "10000000", "--format", "raw"],
+        ["cycles", "--bits", "16", "--exhaustive"],
+    ],
+    ids=("gen", "gen-raw", "cycles"),
+)
+def test_reader_closing_the_pipe_is_not_an_error(argv):
+    # as `| head -1` does: the first line (raw: the first byte) read, then
+    # the pipe closed; the writer exits 128 + SIGPIPE and says nothing on
+    # stderr
+    with subprocess.Popen(
+        [sys.executable, "-m", "tentbits.cli", *argv],
+        env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.read(1) if "raw" in argv else proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE == 141
+        assert proc.stderr.read() == b""
 
 
 def test_cli_import_leaves_scipy_out():

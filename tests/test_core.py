@@ -592,23 +592,24 @@ class TestIntegerArrayWords:
 
 class TestDegenerateSeeds:
     def test_flags(self):
-        assert steps_to_zero(0, 8) == 0
-        assert steps_to_zero(255, 8) == 1
-        assert steps_to_zero(1, 8) is None
-        assert [steps_to_zero(w, 2) for w in range(4)] == [0, 2, 2, 1]
-        assert [steps_to_zero(w, 2, perturbed=False) for w in range(4)] == [0, None, None, 1]
+        assert steps_to_zero(MapConfig(8), 0) == 0
+        assert steps_to_zero(MapConfig(8), 255) == 1
+        assert steps_to_zero(MapConfig(8), 1) is None
+        assert [steps_to_zero(MapConfig(2), w) for w in range(4)] == [0, 2, 2, 1]
+        assert [steps_to_zero(MapConfig(2, perturbed=False), w) for w in range(4)] == [0, None, None, 1]
         with pytest.raises(ValueError, match="does not fit in 8 bits"):
-            steps_to_zero(256, 8)
+            steps_to_zero(MapConfig(8), 256)
 
     @pytest.mark.parametrize("perturbed", (True, False), ids=("perturbed", "unperturbed"))
     @pytest.mark.parametrize("k", range(2, 13))
     def test_is_the_census(self, k, perturbed, monkeypatch):
         # every seed against the census: the zero-reaching ones reach the
         # fixed point 0 after their transient; no step is taken to say so
-        table = cycle_table(k, perturbed)
+        config = MapConfig(k, perturbed)
+        table = cycle_table(config)
         expected = np.where(table.reaches_zero, table.transient, -1).tolist()
         monkeypatch.setattr(core, "step", None)
-        got = [steps_to_zero(w, k, perturbed) for w in table.seed.tolist()]
+        got = [steps_to_zero(config, w) for w in table.seed.tolist()]
         assert [-1 if s is None else s for s in got] == expected
 
     @pytest.mark.parametrize("k", range(3, 13))

@@ -108,7 +108,7 @@ class TestCycleReports:
             tmp_path,
             analysis.write_cycle_reports_csv,
             reference_cycle_reports,
-            cycle_table(k, perturbed),
+            cycle_table(MapConfig(k, perturbed)),
             k,
         )
 
@@ -263,7 +263,7 @@ class TestAnalysisCsvs:
             write(result, tmp_path / "out.csv")
             write(result, "-")
             assert capsys.readouterr().out.encode() == (tmp_path / "out.csv").read_bytes()
-        table = cycle_table(12)
+        table = cycle_table(MapConfig(12))
         analysis.write_cycle_reports_csv(table, 12, tmp_path / "out.csv")
         analysis.write_cycle_reports_csv(table, 12, "-")
         assert capsys.readouterr().out.encode() == (tmp_path / "out.csv").read_bytes()

@@ -368,6 +368,6 @@ class TestOneSequencePerMap:
         config = core.MapConfig(width=16)
         assert core.affine_map(config) == core.affine_map(config)
         assert core.affine_map(config) is not core.affine_map(config)
-        netlist = nl.build_tent_netlist(16)
+        netlist = nl.build_tent_netlist(config)
         assert nl.run_map(netlist, 5) == nl.run_map(netlist, 5)
         assert nl.run_map(netlist, 5)[1] is not nl.run_map(netlist, 5)[1]

@@ -31,30 +31,30 @@ from tentbits.netlist import (
 
 class TestCensus:
     def test_eight_bit_counts(self):
-        stats = element_stats(build_tent_netlist(8))
+        stats = element_stats(build_tent_netlist(MapConfig(8)))
         assert stats.counts == {XOR2: 8, DFF: 8, MUX: 1}
         assert stats.total == 17
 
     def test_smallest_instance(self):
-        stats = element_stats(build_tent_netlist(2))
+        stats = element_stats(build_tent_netlist(MapConfig(2)))
         assert stats.counts == {XOR2: 2, DFF: 2, MUX: 1}
         assert stats.total == 5
 
     @pytest.mark.parametrize("k,total", [(16, 33), (32, 65), (64, 129)])
     def test_published_totals(self, k, total):
-        assert element_stats(build_tent_netlist(k)).total == total
+        assert element_stats(build_tent_netlist(MapConfig(k))).total == total
 
     @pytest.mark.parametrize("k", range(2, 65))
     def test_two_k_plus_one(self, k):
-        assert element_stats(build_tent_netlist(k)).total == 2 * k + 1
+        assert element_stats(build_tent_netlist(MapConfig(k))).total == 2 * k + 1
 
     def test_describe_formats_census(self):
-        assert element_stats(build_tent_netlist(8)).describe() == (
+        assert element_stats(build_tent_netlist(MapConfig(8))).describe() == (
             "XOR2 8, DFF 8, MUX 1, total 17"
         )
 
     def test_unperturbed_variant_drops_one_gate(self):
-        stats = element_stats(build_tent_netlist(8, perturbed=False))
+        stats = element_stats(build_tent_netlist(MapConfig(8, perturbed=False)))
         assert stats.counts[XOR2] == 7
         assert stats.total == 16
 
@@ -63,14 +63,14 @@ class TestStructure:
     @pytest.mark.parametrize("k", (2, 3, 8, 16, 24))
     def test_built_netlists_validate(self, k):
         for perturbed in (True, False):
-            circuit = build_tent_netlist(k, perturbed=perturbed)
+            circuit = build_tent_netlist(MapConfig(k, perturbed=perturbed))
             validate_structure(circuit)
             assert circuit.seed_inputs == tuple(f"seed{i}" for i in range(k))
             assert circuit.load_select == "load"
 
     @pytest.mark.parametrize("copies", (0, 2))
     def test_mux_count_checked(self, copies):
-        circuit = build_tent_netlist(4)
+        circuit = build_tent_netlist(MapConfig(4))
         mux = next(el for el in circuit.elements if el.kind == MUX)
         others = tuple(el for el in circuit.elements if el is not mux)
         # the extra multiplexer drives its own nets, so only the count is wrong
@@ -81,7 +81,7 @@ class TestStructure:
             validate_structure(bad)
 
     def test_double_driver_rejected(self):
-        circuit = build_tent_netlist(4)
+        circuit = build_tent_netlist(MapConfig(4))
         clash = Element("dup", XOR2, ("b0", "b1"), ("c1",))  # c1 already driven
         bad = Netlist(
             width=circuit.width,
@@ -91,7 +91,7 @@ class TestStructure:
             validate_structure(bad)
 
     def test_undriven_net_rejected(self):
-        circuit = build_tent_netlist(4)
+        circuit = build_tent_netlist(MapConfig(4))
         floating = Element("orphan", XOR2, ("nowhere", "b1"), ("x1",))
         bad = Netlist(
             width=circuit.width,
@@ -101,7 +101,7 @@ class TestStructure:
             validate_structure(bad)
 
     def test_combinational_cycle_rejected(self):
-        circuit = build_tent_netlist(4)
+        circuit = build_tent_netlist(MapConfig(4))
         # two XORs feeding each other with no flip-flop in between
         loop_a = Element("loopa", XOR2, ("b0", "y2"), ("y1",))
         loop_b = Element("loopb", XOR2, ("b1", "y1"), ("y2",))
@@ -135,7 +135,7 @@ class TestStructure:
         ids=("widened", "narrowed"),
     )
     def test_mux_width_checked(self, edited, nets):
-        text = export_text(build_tent_netlist(4))
+        text = export_text(build_tent_netlist(MapConfig(4)))
         line = "MUX mux d0,d1,d2,d3 load seed0 seed1 seed2 seed3 c1 c2 c3 p"
         assert line in text.splitlines()
         with pytest.raises(
@@ -145,43 +145,43 @@ class TestStructure:
 
     def test_every_loop_crosses_a_flip_flop(self):
         # the register feedback exists, yet the combinational order resolves
-        circuit = build_tent_netlist(8)
+        circuit = build_tent_netlist(MapConfig(8))
         validate_structure(circuit)  # would raise if the cut failed
 
 
 class TestSimulation:
     def test_load_overrides_state(self):
-        assert run(build_tent_netlist(8), 0xA5, 1)[0] == 0xA5
+        assert run(build_tent_netlist(MapConfig(8)), 0xA5, 1)[0] == 0xA5
 
     def test_single_run_cycle_matches_word_model(self):
-        assert run(build_tent_netlist(8), 64, 1).tolist() == [64, 128]
+        assert run(build_tent_netlist(MapConfig(8)), 64, 1).tolist() == [64, 128]
 
     def test_run_seven_step_cycle(self):
-        assert run(build_tent_netlist(4), 0b1000, 7).tolist() == [8, 14, 3, 6, 13, 5, 11, 8]
+        assert run(build_tent_netlist(MapConfig(4)), 0b1000, 7).tolist() == [8, 14, 3, 6, 13, 5, 11, 8]
 
     def test_run_fixed_point(self):
-        assert run(build_tent_netlist(8), 0, 2).tolist() == [0, 0, 0]
+        assert run(build_tent_netlist(MapConfig(8)), 0, 2).tolist() == [0, 0, 0]
 
     def test_run_upper_branch(self):
-        assert run(build_tent_netlist(8), 192, 1).tolist() == [192, 126]
+        assert run(build_tent_netlist(MapConfig(8)), 192, 1).tolist() == [192, 126]
 
     def test_run_is_deterministic(self):
-        circuit = build_tent_netlist(8)
+        circuit = build_tent_netlist(MapConfig(8))
         assert np.array_equal(run(circuit, 0x5A, 200), run(circuit, 0x5A, 200))
 
     @given(st.integers(2, 12), st.randoms())
     @settings(max_examples=40, deadline=None)
     def test_run_matches_iterate(self, k, rnd):
         seed = rnd.randrange(1 << k)
-        circuit = build_tent_netlist(k)
+        circuit = build_tent_netlist(MapConfig(k))
         config = MapConfig(width=BitWidth(k))
         assert run(circuit, seed, 50).tolist() == iterate(config, seed, 50)
 
     @pytest.mark.parametrize("perturbed", (True, False))
     @pytest.mark.parametrize("k", range(2, 65))
     def test_run_matches_iterate_at_every_width(self, k, perturbed):
-        circuit = build_tent_netlist(k, perturbed=perturbed)
         config = MapConfig(width=k, perturbed=perturbed)
+        circuit = build_tent_netlist(config)
         top = 1 << (k - 1)
         for seed in (0, 2 * top - 1, top | 1, 0x9E3779B97F4A7C15 % (2 * top)):
             assert run(circuit, seed, 200).tolist() == iterate(config, seed, 200)
@@ -189,23 +189,23 @@ class TestSimulation:
     def test_run_matches_iterate_at_gate_workload_size(self):
         seed = 0x9E3779B97F4A7C15
         n = 1 << 17
-        words = run(build_tent_netlist(64), seed, n)
+        words = run(build_tent_netlist(MapConfig(64)), seed, n)
         assert np.array_equal(words, np.array(iterate(MapConfig(64), seed, n), np.uint64))
 
     @pytest.mark.parametrize("seed", (0, 1, 77, 200, 255))
     def test_unperturbed_run_matches_word_model(self, seed):
-        circuit = build_tent_netlist(8, perturbed=False)
         config = MapConfig(width=8, perturbed=False)
+        circuit = build_tent_netlist(config)
         assert run(circuit, seed, 300).tolist() == iterate(config, seed, 300)
 
     def test_oversized_seed_rejected(self):
         with pytest.raises(ValueError):
-            run(build_tent_netlist(4), 16, 1)
+            run(build_tent_netlist(MapConfig(4)), 16, 1)
 
 
 class TestTextFormat:
     def test_header_and_line_shape(self):
-        text = export_text(build_tent_netlist(4))
+        text = export_text(build_tent_netlist(MapConfig(4)))
         lines = text.strip().splitlines()
         assert lines[0] == "WIDTH 4"
         assert lines[1].split() == ["XOR2", "cmpl1", "c1", "b0", "b1"]
@@ -217,7 +217,7 @@ class TestTextFormat:
     @pytest.mark.parametrize("perturbed", (True, False))
     @pytest.mark.parametrize("k", (2, 3, 8, 33, 64))
     def test_round_trip_preserves_structure(self, k, perturbed):
-        original = build_tent_netlist(k, perturbed=perturbed)
+        original = build_tent_netlist(MapConfig(k, perturbed=perturbed))
         text = export_text(original)
         rebuilt = parse_text(text)
         assert rebuilt.width == original.width
@@ -228,7 +228,7 @@ class TestTextFormat:
         assert export_text(rebuilt) == text
 
     def test_round_trip_simulates_identically(self):
-        original = build_tent_netlist(6)
+        original = build_tent_netlist(MapConfig(6))
         rebuilt = parse_text(export_text(original))
         assert np.array_equal(
             run(rebuilt, 0b101101 & 0x3F, 100), run(original, 0b101101 & 0x3F, 100)
@@ -250,7 +250,7 @@ class TestTextFormat:
                 names[net] = styles[i % len(styles)].format(i)
             return names[net]
 
-        header, *body = export_text(build_tent_netlist(16, perturbed)).splitlines()
+        header, *body = export_text(build_tent_netlist(MapConfig(16, perturbed))).splitlines()
         dffs = [line for line in body if line.startswith("DFF ")]
         gates = [line for line in reversed(body) if not line.startswith("DFF ")]
         lines = [header]
@@ -265,7 +265,7 @@ class TestTextFormat:
             assert run(circuit, seed, 200).tolist() == iterate(config, seed, 200)
 
     def test_unperturbed_round_trip_keeps_zero_net(self):
-        original = build_tent_netlist(5, perturbed=False)
+        original = build_tent_netlist(MapConfig(5, perturbed=False))
         rebuilt = parse_text(export_text(original))
         assert rebuilt.zero_nets == ("zero",)
         assert np.array_equal(run(rebuilt, 13, 60), run(original, 13, 60))
@@ -286,7 +286,7 @@ class TestTextFormat:
         ],
     )
     def test_driven_interface_net_rejected(self, line, edited, net, driver):
-        text = export_text(build_tent_netlist(4))
+        text = export_text(build_tent_netlist(MapConfig(4)))
         assert line in text.splitlines()
         with pytest.raises(
             StructuralError, match=f"^interface net {net} is driven by {driver}$"
@@ -294,7 +294,7 @@ class TestTextFormat:
             parse_text(text.replace(line, edited))
 
     def test_multiple_muxes_rejected(self):
-        base = export_text(build_tent_netlist(2))
+        base = export_text(build_tent_netlist(MapConfig(2)))
         extra = "MUX mux2 q0,q1 load seed0 seed1 c1 p\n"
         with pytest.raises(StructuralError, match="exactly one MUX"):
             parse_text(base + extra)
@@ -314,7 +314,7 @@ def _hand_edited(k, edits):
             ("DFF ff2 b2 d2", "DFF ff2 b2 d1"),
         ],
     }
-    lines = export_text(build_tent_netlist(k)).splitlines()
+    lines = export_text(build_tent_netlist(MapConfig(k))).splitlines()
     for edit in edits:
         for old, new in swaps[edit]:
             lines[lines.index(old)] = new
@@ -357,7 +357,7 @@ class TestAffineRun:
         samples = [(i * 0x9E3779B97F4A7C15) & top for i in range(1, 9)]
         for a, b in zip(samples, reversed(samples)):
             assert step(config, a ^ b) == step(config, a) ^ step(config, b)
-        circuit = build_tent_netlist(k, perturbed=perturbed)
+        circuit = build_tent_netlist(config)
         order = _topo_order(circuit)
         for seed in (0, top, *samples[:2]):
             assert _clock_lanes(circuit, order, [0], seed, 1)[0] == seed
@@ -370,7 +370,7 @@ class TestAffineRun:
         # its loaded word and of the word model's map from the seed
         config = MapConfig(width=k, perturbed=perturbed)
         seed = 0x5A3C5A3C5A3C5A3C & ((1 << k) - 1) or 1
-        loaded, cycle = run_map(build_tent_netlist(k, perturbed=perturbed), seed)
+        loaded, cycle = run_map(build_tent_netlist(config), seed)
         assert loaded == seed
         n = 3 * 64 + 4
         words = np.array(iterate(config, seed, n), np.uint64)
@@ -428,7 +428,7 @@ class TestLanePass:
     @pytest.mark.parametrize("perturbed", (True, False))
     @pytest.mark.parametrize("k", range(2, 65))
     def test_lanes_equal_scalar_clocks(self, k, perturbed):
-        circuit = build_tent_netlist(k, perturbed=perturbed)
+        circuit = build_tent_netlist(MapConfig(k, perturbed=perturbed))
         top = (1 << k) - 1
         for seed in (0, top, top >> 1, 0x9E3779B97F4A7C15 & top):
             assert _lane_pass_map(circuit, seed) == _run_cycle_map(circuit, seed)
@@ -449,8 +449,8 @@ class TestLanePass:
     @pytest.mark.parametrize("perturbed", (True, False))
     @pytest.mark.parametrize("k", (2, 5, 8, 33, 64))
     def test_run_is_the_word_array(self, k, perturbed):
-        circuit = build_tent_netlist(k, perturbed=perturbed)
         config = MapConfig(width=k, perturbed=perturbed)
+        circuit = build_tent_netlist(config)
         seed = 0x9E3779B97F4A7C15 % (1 << k)
         for n in (1, 2, 7, 8, 1000):
             words = run(circuit, seed, n)
