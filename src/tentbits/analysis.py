@@ -71,7 +71,12 @@ class HistogramResult:
 
 @dataclass(frozen=True, eq=False)
 class CycleTable:
-    """Eventual behavior of seeds as columns: row i describes seed[i]."""
+    """Eventual behavior of seeds as columns: row i describes seed[i].
+
+    cycle_table gives int32 seed, transient and period columns and a
+    bool reaches_zero; a one-row table of a wider seed may hold 64-bit
+    integers.
+    """
 
     seed: np.ndarray
     transient: np.ndarray
@@ -93,10 +98,11 @@ class CycleCensus:
 
     @classmethod
     def of(cls, table: CycleTable) -> CycleCensus:
-        # an integer sum divided once, as exact as Python's sum over ints
+        # an integer sum divided once, as exact as Python's sum over ints;
+        # int64 holds the sum of 2**20 int32 periods (about 5.4e11 at k = 20)
         return cls(
             seeds=len(table),
-            mean_period=int(table.period.sum()) / len(table),
+            mean_period=int(table.period.sum(dtype=np.int64)) / len(table),
             max_period=int(table.period.max()),
             zero_reaching=int(table.reaches_zero.sum()),
         )
@@ -423,7 +429,7 @@ def cycle_detect(config: MapConfig, seed: int) -> tuple[int, int, bool]:
 
 def _least_ahead(succ: np.ndarray) -> np.ndarray:
     """Pointer doubling over a permutation (a union of cycles):
-    label[v] is the least node of the cycle v lies on.
+    label[v] is the least node of the cycle v lies on, in succ's dtype.
 
     After r rounds label[v] is the least of v's next 2**r nodes, which
     covers the whole cycle once 2**r >= n.  A round that would change no
@@ -432,7 +438,7 @@ def _least_ahead(succ: np.ndarray) -> np.ndarray:
     equal; their windows together cover the cycle, so each label is
     already the cycle's least.
     """
-    label, jump = np.arange(len(succ)), succ
+    label, jump = np.arange(len(succ), dtype=succ.dtype), succ
     for _ in range((len(succ) - 1).bit_length()):
         ahead = label[jump]
         if (ahead >= label).all():
@@ -442,38 +448,61 @@ def _least_ahead(succ: np.ndarray) -> np.ndarray:
     return label
 
 
+def _peel(succ: np.ndarray):
+    """Peel the nodes nothing points to off a functional graph, layer by
+    layer: the layers in order, and the indegree that is left, nonzero
+    exactly on the cycle nodes.  Both have succ's dtype.
+
+    A wide layer's successors are counted by one bincount over all
+    nodes, with no sort.  A thin one, under a sixteenth of the nodes
+    (about where sorting it costs what a pass over every node does),
+    sorts its own successors instead, so a deep tail of small layers
+    costs its own length, not the graph's size per layer.
+    """
+    n, index = len(succ), succ.dtype
+    indegree = np.bincount(succ, minlength=n).astype(index)
+    layers = []
+    layer = np.flatnonzero(indegree == 0).astype(index)
+    while layer.size:
+        layers.append(layer)
+        ahead = succ[layer]
+        if 16 * len(layer) < n:
+            hit, count = np.unique(ahead, return_counts=True)
+        else:
+            count = np.bincount(ahead, minlength=n).astype(index)
+            hit = np.flatnonzero(count).astype(index)
+            count = count[hit]
+        indegree[hit] -= count
+        layer = hit[indegree[hit] == 0]
+    return layers, indegree
+
+
 def _classify(succ: np.ndarray):
     """Transient, period and root (the least node of the cycle it
     reaches) of every node of a functional graph, succ[v] being v's
-    successor.
+    successor.  Every per-node array, the three results too, has succ's
+    integer dtype, so 32-bit input keeps the work in 32-bit indices.
 
-    Nodes nothing points to are peeled off layer by layer; what is left
-    is the union of the cycles.  The cycle nodes are numbered 0, 1, ...
-    in ascending order, so pointer doubling over them alone labels each
-    with the local number of its cycle's least node, and a count of
-    labels gives the periods.  Replaying the layers in reverse hands
-    each peeled node its successor's root and period and one more
-    transient step.
+    _peel takes off the nodes nothing points to, layer by layer; what is
+    left is the union of the cycles.  The cycle nodes are numbered 0, 1,
+    ... in ascending order, so pointer doubling over them alone labels
+    each with the local number of its cycle's least node, and a count of
+    labels gives the periods.  Replaying the layers in reverse hands each
+    peeled node its successor's root and period and one more transient
+    step.
     """
-    n = len(succ)
-    indegree = np.bincount(succ, minlength=n)
-    layers = []
-    layer = np.flatnonzero(indegree == 0)
-    while layer.size:
-        layers.append(layer)
-        hit, count = np.unique(succ[layer], return_counts=True)
-        indegree[hit] -= count
-        layer = hit[indegree[hit] == 0]
-    cycle = np.flatnonzero(indegree)
+    n, index = len(succ), succ.dtype
+    layers, indegree = _peel(succ)
+    cycle = np.flatnonzero(indegree).astype(index)
     # the spent indegree array holds each cycle node's local number
     local = indegree
-    local[cycle] = np.arange(len(cycle))
+    local[cycle] = np.arange(len(cycle), dtype=index)
     label = _least_ahead(local[succ[cycle]])
-    root = np.empty(n, dtype=np.intp)
+    root = np.empty(n, dtype=index)
     root[cycle] = cycle[label]
-    period = np.zeros(n, dtype=np.intp)
+    period = np.zeros(n, dtype=index)
     period[cycle] = np.bincount(label)[label]
-    transient = np.zeros(n, dtype=np.intp)
+    transient = np.zeros(n, dtype=index)
     for layer in reversed(layers):
         ahead = succ[layer]
         transient[layer] = transient[ahead] + 1
@@ -485,9 +514,11 @@ def _classify(succ: np.ndarray):
 def cycle_table(config: MapConfig) -> CycleTable:
     """Cycle report for every seed of a configuration's width, exhaustively.
 
-    One map evaluation per word builds the successor table; the
-    functional graph is then classified with whole-array operations.
-    Results match cycle_detect.
+    One map evaluation per word builds the successor table, in int32
+    (k is at most 20); the functional graph is then classified with
+    whole-array operations in that dtype, so the seed, transient and
+    period columns are int32 and reaches_zero is bool.  Results match
+    cycle_detect.
     """
     k = config.width.k
     if k > CYCLE_ENUM_MAX_WIDTH:
@@ -496,11 +527,11 @@ def cycle_table(config: MapConfig) -> CycleTable:
         )
     size = 1 << k
     succ = np.fromiter(
-        map(step, repeat(config, size), range(size)), dtype=np.intp, count=size
+        map(step, repeat(config, size), range(size)), dtype=np.int32, count=size
     )
     transient, period, root = _classify(succ)
     return CycleTable(
-        seed=np.arange(size),
+        seed=np.arange(size, dtype=np.int32),
         transient=transient,
         period=period,
         reaches_zero=(period == 1) & (root == 0),

@@ -293,6 +293,10 @@ def cmd_analyze(args) -> int:
             )
         if name in tests[:i]:
             raise ValueError(f"test {name!r} is named twice")
+    if args.bins < 2:
+        raise ValueError(f"--bins must be at least 2, got {args.bins}")
+    if args.max_lag < 1:
+        raise ValueError(f"--max-lag must be at least 1, got {args.max_lag}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -305,6 +305,12 @@ class TestCycleTable:
         assert (table.transient >= 0).all()
         assert (table.transient + table.period <= size).all()
 
+    @pytest.mark.parametrize("perturbed", (True, False))
+    def test_column_dtypes(self, perturbed):
+        table = cycle_table(MapConfig(10, perturbed))
+        columns = (table.seed, table.transient, table.period, table.reaches_zero)
+        assert [column.dtype for column in columns] == [np.int32] * 3 + [np.bool_]
+
     def test_one_map_step_per_word(self, monkeypatch):
         # the benchmark predicts 2**k core.step calls for a census
         calls = []
@@ -412,6 +418,28 @@ class TestClassify:
     def test_everything_maps_to_zero(self, n):
         self._check([0] * n)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_int32_and_intp_agree(self, seed):
+        # a random graph with extra self-loops, and a chain of `tail` nodes
+        # whose head n points into it: wide peel layers, then thin ones
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(50, 400))
+        succ = rng.integers(0, n, n)
+        loops = rng.choice(n, n // 10, replace=False)
+        succ[loops] = loops
+        tail = int(rng.integers(2, 300))
+        succ = np.concatenate([succ, [rng.integers(0, n)], np.arange(n, n + tail - 1)])
+        layers, _ = analysis._peel(succ)
+        assert len(layers) >= tail
+        # _peel counts a layer of at least a sixteenth of the nodes by
+        # bincount, a thinner one by sorting: both kinds occur
+        bincounted = 16 * np.array([len(layer) for layer in layers]) >= len(succ)
+        assert bincounted.any() and not bincounted.all()
+        got = [_classify(succ.astype(index)) for index in (np.int32, np.intp)]
+        for narrow, full in zip(*got):
+            assert narrow.dtype == np.int32 and full.dtype == np.intp
+            assert narrow.tolist() == full.tolist()
+
     def test_long_cycle_among_self_loops(self):
         # the self-loops settle in the first round, the 4096-cycle only
         # after twelve: doubling must not stop while any label moves
@@ -444,6 +472,19 @@ class TestCycleCensus:
 
     def test_determinism(self):
         assert cycle_census(MapConfig(6)) == cycle_census(MapConfig(6))
+
+    def test_int32_periods_summed_past_two_to_the_31(self):
+        periods = [2**31 - 1, 2**31 - 1, 2**30 + 7, 5, 1]
+        size = len(periods)
+        table = analysis.CycleTable(
+            seed=np.arange(size, dtype=np.int32),
+            transient=np.zeros(size, dtype=np.int32),
+            period=np.array(periods, dtype=np.int32),
+            reaches_zero=np.zeros(size, dtype=bool),
+        )
+        census = analysis.CycleCensus.of(table)
+        assert census.mean_period == sum(periods) / size
+        assert census.max_period == 2**31 - 1
 
     def test_twenty_bit_census_pinned(self):
         # the earlier per-seed sweep's figures; 516033 = lcm(63, 8191)

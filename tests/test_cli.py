@@ -424,6 +424,39 @@ class TestAnalyze:
         assert err == ["error: test 'entropy' is named twice"]
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--bins", "0"), ("--bins", "1"), ("--max-lag", "0"), ("--max-lag", "-3")],
+    )
+    @pytest.mark.parametrize("tests", (None, "histogram", "entropy"))
+    def test_out_of_range_flag_exits_2(self, tmp_path, capsys, flag, value, tests):
+        # refused whichever tests are selected, before the directory is made
+        out_dir = tmp_path / "out"
+        argv = ["analyze", "--bits", "16", "--seed", "0x5A3C", "--n", "4096",
+                flag, value, "--out-dir", str(out_dir)]
+        if tests is not None:
+            argv += ["--tests", tests]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        least = 2 if flag == "--bins" else 1
+        assert captured.err.splitlines() == [
+            f"error: {flag} must be at least {least}, got {value}"
+        ]
+        assert captured.out == ""
+        assert not out_dir.exists()
+
+    def test_lag_beyond_the_series_fails_that_test_alone(self, tmp_path, capsys):
+        # whether a lag fits depends on the data, so it is no usage error
+        argv = ["analyze", "--bits", "16", "--seed", "0x5A3C", "--n", "50",
+                "--max-lag", "50", "--tests", "autocorr,histogram",
+                "--out-dir", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        autocorr, hist = json.loads((tmp_path / "report.json").read_text())["tests"]
+        assert autocorr == {
+            "test": "autocorr", "error": "series of 50 samples cannot support lag 50"
+        }
+        assert "error" not in hist
+
     def test_netlist_backend_matches_word(self, tmp_path, capsys):
         word_dir = tmp_path / "word"
         gate_dir = tmp_path / "gate"
@@ -700,6 +733,14 @@ def test_lyapunov_memory_per_point():
     values = decode_series(iterate(MapConfig(width=32), 0x12345678, n)[1:], 32)
     peak = traced_peak(analysis.lyapunov_rosenstein, values)
     assert peak < 100 * n, peak / n
+
+
+def test_census_memory_per_seed():
+    # the whole census runs in int32 indices; in int64 it peaked at 68 B
+    # per seed
+    size = 1 << 16
+    peak = traced_peak(analysis.cycle_table, MapConfig(16))
+    assert peak < 40 * size, peak / size
 
 
 def test_return_map_memory_is_flat_in_rows(tmp_path):
