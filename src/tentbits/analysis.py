@@ -453,11 +453,9 @@ def _peel(succ: np.ndarray):
     layer: the layers in order, and the indegree that is left, nonzero
     exactly on the cycle nodes.  Both have succ's dtype.
 
-    A wide layer's successors are counted by one bincount over all
-    nodes, with no sort.  A thin one, under a sixteenth of the nodes
-    (about where sorting it costs what a pass over every node does),
-    sorts its own successors instead, so a deep tail of small layers
-    costs its own length, not the graph's size per layer.
+    Each layer's successors are counted by sorting the layer alone, so a
+    deep tail of small layers costs its own length, not the graph's size
+    per layer; the per-layer temporaries die with this helper.
     """
     n, index = len(succ), succ.dtype
     indegree = np.bincount(succ, minlength=n).astype(index)
@@ -465,13 +463,7 @@ def _peel(succ: np.ndarray):
     layer = np.flatnonzero(indegree == 0).astype(index)
     while layer.size:
         layers.append(layer)
-        ahead = succ[layer]
-        if 16 * len(layer) < n:
-            hit, count = np.unique(ahead, return_counts=True)
-        else:
-            count = np.bincount(ahead, minlength=n).astype(index)
-            hit = np.flatnonzero(count).astype(index)
-            count = count[hit]
+        hit, count = np.unique(succ[layer], return_counts=True)
         indegree[hit] -= count
         layer = hit[indegree[hit] == 0]
     return layers, indegree

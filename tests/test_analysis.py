@@ -431,10 +431,6 @@ class TestClassify:
         succ = np.concatenate([succ, [rng.integers(0, n)], np.arange(n, n + tail - 1)])
         layers, _ = analysis._peel(succ)
         assert len(layers) >= tail
-        # _peel counts a layer of at least a sixteenth of the nodes by
-        # bincount, a thinner one by sorting: both kinds occur
-        bincounted = 16 * np.array([len(layer) for layer in layers]) >= len(succ)
-        assert bincounted.any() and not bincounted.all()
         got = [_classify(succ.astype(index)) for index in (np.int32, np.intp)]
         for narrow, full in zip(*got):
             assert narrow.dtype == np.int32 and full.dtype == np.intp
