@@ -218,18 +218,19 @@ def _digits(values, base: int, width: int, blank: bool) -> np.ndarray:
     fits = values.max(initial=0) < 1 << 32
     rest = values.astype(np.uint32 if fits else np.uint64)
     shift = base.bit_length() - 1
-    out = np.empty((len(rest), width), np.uint8)
+    # one contiguous row per digit place, handed back transposed
+    out = np.empty((width, len(rest)), np.uint8)
     for col in reversed(range(width)):
         if base == 1 << shift:
             digit, ahead = rest & (base - 1), rest >> shift
         else:
             ahead = rest // base
             digit = rest - ahead * base
-        out[:, col] = np.take(_ASCII_DIGITS, digit)
+        np.take(_ASCII_DIGITS, digit, out=out[col])
         if blank and col < width - 1:
-            out[rest == 0, col] = 0
+            out[col][rest == 0] = 0
         rest = ahead
-    return out
+    return out.T
 
 
 def decimal(values) -> np.ndarray:
@@ -241,10 +242,10 @@ def decimal(values) -> np.ndarray:
 
 def hexadecimal(values, width: int, prefix: bytes = b"") -> np.ndarray:
     """prefix, then width upper-case hex digits, zero-padded: f"{v:0{width}X}"."""
-    out = np.empty((len(values), len(prefix) + width), np.uint8)
-    out[:, : len(prefix)] = np.frombuffer(prefix, np.uint8)
-    out[:, len(prefix) :] = _digits(values, 16, width, blank=False)
-    return out
+    out = np.empty((len(prefix) + width, len(values)), np.uint8)
+    out[: len(prefix)] = np.frombuffer(prefix, np.uint8)[:, None]
+    out[len(prefix) :] = _digits(values, 16, width, blank=False).T
+    return out.T
 
 
 def sink(path):

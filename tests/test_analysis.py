@@ -809,6 +809,57 @@ class TestNearestNeighbors:
         for got_part, want_part in zip(got, want):
             np.testing.assert_array_equal(got_part, want_part)
 
+    @pytest.mark.parametrize("w", (0, 10))
+    def test_first_column_ties_with_distinct_second_columns(self, w):
+        # 20 first coordinates, each shared by about 30 points that differ
+        # in the second: argsort leaves their order open, lexsort fixes it
+        rng = np.random.default_rng(14)
+        points = np.column_stack([rng.integers(0, 20, 600) / 4.0, rng.random(600)])
+        self._check(points, w)
+
+    @pytest.mark.parametrize("nans", (1, 5))
+    def test_nans_in_the_first_column(self, nans):
+        # a NaN is at no distance from anything, so its row has no
+        # partner and is no one's partner
+        rng = np.random.default_rng(15)
+        points = rng.random((600, 2))
+        points[rng.choice(600, nans, replace=False), 0] = np.nan
+        self._check(points, 10)
+
+    def test_negative_zero_beside_zero(self):
+        # -0.0 == 0.0: a tie in the first column, on a point repeated
+        # with either sign and on points that differ in the second column
+        rng = np.random.default_rng(16)
+        points = rng.random((600, 2))
+        rows = rng.choice(600, 6, replace=False)
+        points[rows, 0] = [0.0, -0.0, 0.0, -0.0, -0.0, 0.0]
+        points[rows[:2], 1] = 0.5
+        self._check(points, 10)
+
+    @staticmethod
+    def tie_free_orbit():
+        n = 3 * analysis.SWEEP_ROWS + 5
+        xs = decode_series(iterate(MapConfig(width=32), 0x12345678, n + 1)[1:], 32)
+        points = np.column_stack([xs[:-1], xs[1:]])
+        assert len(np.unique(points[:, 0])) == n
+        return points
+
+    def test_tie_free_orbit_matches_the_lexsort_order(self, monkeypatch):
+        # no first coordinate repeats, so the argsort of that column is
+        # the one order lexsort gives
+        points = self.tie_free_orbit()
+        got = analysis._partners(points, 10)
+        monkeypatch.setattr(np, "argsort", lambda col: np.lexsort(points.T[::-1]))
+        np.testing.assert_array_equal(got, analysis._partners(points, 10))
+
+    def test_tie_free_series_skips_lexsort(self, monkeypatch):
+        def lexsort(keys):
+            raise AssertionError("lexsort on a series with no tie")
+
+        points = self.tie_free_orbit()
+        monkeypatch.setattr(np, "lexsort", lexsort)
+        assert (analysis._partners(points, 10) >= 0).all()
+
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_quantized_points_match_brute_force(self, data):
