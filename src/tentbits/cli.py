@@ -13,18 +13,19 @@ selected analysis failed, 141 (128 + SIGPIPE) the reader closed the pipe.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
-import secrets
 import sys
 from collections.abc import Iterator
-from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis, columns, core, gf2, netlist as nl
+from . import columns, core, gf2
+
+# analysis, netlist, json and secrets serve some commands only; each
+# command imports what it runs, so `gen` never loads them (see the
+# start-up section of README.md)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -64,6 +65,8 @@ def _resolve(args) -> None:
         return
     drawn = args.seed.strip().lower() == "random"
     if drawn:
+        import secrets
+
         args.seed = secrets.randbelow(args.width.max_word + 1)
     else:
         try:
@@ -94,6 +97,8 @@ def _run_map(args) -> tuple[int, gf2.AffineMap]:
     word and the map of one run cycle of the circuit (netlist backend), or
     the seed and core.step's map (word backend)."""
     if args.backend == "netlist":
+        from . import netlist as nl
+
         return nl.run_map(nl.build_tent_netlist(args.config), args.seed)
     return args.seed, core.affine_map(args.config)
 
@@ -186,6 +191,8 @@ def cmd_netlist(args) -> int:
     if args.simulate:
         return cmd_gen(args)
     _resolve(args)
+    from . import netlist as nl
+
     circuit = nl.build_tent_netlist(args.config)
     if args.stats:
         print(nl.element_stats(circuit).describe())
@@ -196,6 +203,8 @@ def cmd_netlist(args) -> int:
 
 
 def _analyze_entropy(bits, values, out_dir: Path, args) -> dict:
+    from . import analysis
+
     counts = np.bincount(bits, minlength=2).tolist()
     result = analysis.shannon_entropy(counts)
     entry = {
@@ -211,6 +220,8 @@ def _analyze_entropy(bits, values, out_dir: Path, args) -> dict:
 
 
 def _analyze_autocorr(bits, values, out_dir: Path, args) -> dict:
+    from . import analysis
+
     series = bits if args.autocorr_series == "bits" else values
     result = analysis.autocorrelation(series, args.max_lag)
     analysis.write_autocorrelation_csv(result, out_dir / "autocorr.csv")
@@ -225,6 +236,8 @@ def _analyze_autocorr(bits, values, out_dir: Path, args) -> dict:
 
 
 def _analyze_lyapunov(bits, values, out_dir: Path, args) -> dict:
+    from . import analysis
+
     params = {"embed_dim": 2, "delay": 1, "theiler_window": 10, "max_steps": 12}
     estimate = analysis.lyapunov_rosenstein(values, **params)
     analysis.write_divergence_csv(estimate, out_dir / "divergence.csv")
@@ -242,6 +255,8 @@ def _analyze_lyapunov(bits, values, out_dir: Path, args) -> dict:
 
 
 def _analyze_histogram(bits, values, out_dir: Path, args) -> dict:
+    from . import analysis
+
     result = analysis.histogram(values, args.bins)
     analysis.write_histogram_csv(result, out_dir / "histogram.csv")
     return {
@@ -258,6 +273,8 @@ def _analyze_histogram(bits, values, out_dir: Path, args) -> dict:
 
 
 def _analyze_return_map(bits, values, out_dir: Path, args) -> dict:
+    from . import analysis
+
     pairs = analysis.first_return_pairs(values)
     analysis.write_return_map_csv(values, out_dir / "return_map.csv")
     deviation = np.abs(pairs[:, 1] - core.tent_exact(pairs[:, 0])).max()
@@ -281,6 +298,10 @@ ANALYZE_TESTS = {
 
 
 def cmd_analyze(args) -> int:
+    import json
+
+    from . import analysis
+
     _resolve(args)
     _warn_degenerate(args)
     tests = [t.strip() for t in args.tests.split(",") if t.strip()]
@@ -335,6 +356,8 @@ def cmd_cycles(args) -> int:
     if (args.seed is not None) == args.exhaustive:
         raise ValueError("pass one of --seed WORD and --exhaustive")
     _resolve(args)
+    from . import analysis
+
     if args.seed is not None:
         row = (args.seed, *analysis.cycle_detect(args.config, args.seed))
         table = analysis.CycleTable(*(np.array([value]) for value in row))
@@ -355,13 +378,14 @@ def cmd_cycles(args) -> int:
 
 
 def _ratio(elements: int, bits: int) -> str:
-    value = (Decimal(elements) / Decimal(bits)).quantize(
-        Decimal("0.001"), rounding=ROUND_HALF_UP
-    )
-    return str(value)
+    """elements / bits to three decimals, halves rounded up, in integers."""
+    whole, thousandths = divmod((2000 * elements + bits) // (2 * bits), 1000)
+    return f"{whole}.{thousandths:03d}"
 
 
 def cmd_compare(args) -> int:
+    from . import netlist as nl
+
     rows = []
     for bits in args.widths:
         circuit = nl.build_tent_netlist(core.MapConfig(bits))

@@ -19,7 +19,6 @@ import math
 import operator
 from collections.abc import Collection
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -96,6 +95,8 @@ def decode(w: int, width: BitWidth | int) -> float:
 def decode_exact(w: int, width: BitWidth | int) -> Fraction:
     """Exact rational value of a state word, lossless at every width.
     Kept as specification: the acceptance suite's exact reading."""
+    from fractions import Fraction  # imported here: only the exact paths need it
+
     width = as_width(width)
     return Fraction(check_word(w, width), width.max_word)
 
@@ -112,6 +113,8 @@ def encode(x: float | Fraction, width: BitWidth | int) -> int:
         raise ValueError(f"cannot encode non-finite value {x!r}")
     if not 0 <= x <= 1:
         raise ValueError(f"value {x!r} outside [0, 1]")
+    from fractions import Fraction
+
     scaled = Fraction(x) * width.max_word
     return int((2 * scaled + 1) // 2)
 

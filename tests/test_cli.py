@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tentbits
 from tentbits import analysis, cli, columns, core, netlist
 from tentbits.cli import EXIT_ALL_TESTS_FAILED, EXIT_BROKEN_PIPE, EXIT_OK, EXIT_USAGE, main
 from tentbits.core import MapConfig, decode_series, iterate, output_array
@@ -629,6 +630,15 @@ class TestCompare:
     def test_width_out_of_range(self, capsys):
         assert main(["compare", "70"]) == EXIT_USAGE
 
+    def test_ratio_rounds_half_up_like_decimal(self):
+        from decimal import ROUND_HALF_UP, Decimal
+
+        pairs = [(elements, bits) for elements in range(1, 401) for bits in range(1, 65)]
+        pairs += [(elements, bits) for _, bits, elements in cli.LITERATURE_ROWS]
+        for elements, bits in pairs:
+            expected = Decimal(elements / bits).quantize(Decimal("0.001"), ROUND_HALF_UP)
+            assert cli._ratio(elements, bits) == str(expected), (elements, bits)
+
     def test_printed_ratio_matches_exact_ratio(self, capsys):
         # three printed decimals stay within 5e-4 of elements/bits; the
         # bound is tight at half-ulp cases, so compare in exact rationals
@@ -896,12 +906,128 @@ def test_reader_closing_the_pipe_is_not_an_error(argv):
         assert proc.stderr.read() == b""
 
 
-def test_cli_import_leaves_scipy_out():
-    # every command pays for this import; scipy would be most of its time
-    # and memory, and no command needs it
-    result = run_python("-c", "import sys, tentbits.cli; print('scipy' in sys.modules)")
+# Modules `gen` does not use: every command pays `import tentbits.cli`,
+# so the commands that need one import it when they run.  scipy would be
+# most of the start-up time and memory, and no command needs it.
+COMMAND_ONLY_MODULES = {
+    "tentbits.analysis", "tentbits.netlist", "json", "decimal", "fractions", "secrets",
+    "hmac", "scipy",
+}
+
+
+def loaded_modules(statement: str) -> set[str]:
+    """The modules a fresh interpreter holds after running statement."""
+    result = run_python("-c", f"import sys; {statement}; print(*sys.modules)")
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\n"
+    return set(result.stdout.split())
+
+
+@pytest.mark.parametrize("statement", ("import tentbits.cli", "import tentbits"))
+def test_import_leaves_command_only_modules_out(statement):
+    # a set difference against numpy and argparse, which tentbits.cli
+    # needs anyway, so what the stdlib itself loads may differ by version
+    baseline = loaded_modules("import numpy, argparse")
+    assert loaded_modules(statement) - baseline & COMMAND_ONLY_MODULES == set()
+
+
+COMPARE_TABLE = """\
+source                        bits  elements   ratio
+this work                       16        33   2.063
+this work                       32        65   2.031
+this work                       64       129   2.016
+Khani & Ahmadi (2013)           10        55   5.500
+Sreenath & Narayanan (2018)     32       161   5.031
+Sreenath & Narayanan (2018)     64       321   5.016
+"""
+
+
+@pytest.mark.parametrize(
+    ("argv", "stdout"),
+    [
+        (["cycles", "--bits", "32", "--seed", "0x12345678"],
+         "seed,transient,period,reaches_zero\n0x12345678,0,2097151,false\n"),
+        (["netlist", "--bits", "4", "--seed", "0x8", "--n", "7", "--simulate",
+          "--format", "hex"], "8\nE\n3\n6\nD\n5\nB\n8\n"),
+        (["compare"], COMPARE_TABLE),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else "",
+)
+def test_deferred_import_commands_run_in_a_fresh_interpreter(argv, stdout):
+    result = run_python("-m", "tentbits.cli", *argv)
+    assert result.returncode == EXIT_OK, result.stderr
+    assert result.stdout == stdout
+
+
+def test_analyze_in_a_fresh_interpreter_writes_the_same_files(tmp_path):
+    argv = ["analyze", "--bits", "16", "--seed", "0x5A3C", "--n", "4096"]
+    child, here = tmp_path / "child", tmp_path / "here"
+    result = run_python("-m", "tentbits.cli", *argv, "--out-dir", str(child))
+    assert result.returncode == EXIT_OK, result.stderr
+    assert result.stdout == f"report: {child / 'report.json'}\n"
+    assert main([*argv, "--out-dir", str(here)]) == EXIT_OK
+    names = sorted(path.name for path in here.iterdir())
+    assert names == sorted(path.name for path in child.iterdir())
+    for name in names:
+        assert (child / name).read_bytes() == (here / name).read_bytes(), name
+
+
+def test_random_seed_in_a_fresh_interpreter(capsys):
+    argv = ["gen", "--bits", "8", "--n", "16", "--format", "hex"]
+    result = run_python("-m", "tentbits.cli", *argv, "--seed", "random")
+    assert result.returncode == EXIT_OK, result.stderr
+    # a degenerate draw adds a warning line after the echoed seed
+    prefix, seed = result.stderr.splitlines()[0].split()
+    assert prefix == "seed:"
+    assert main([*argv, "--seed", seed]) == EXIT_OK
+    assert result.stdout == capsys.readouterr().out
+
+
+# The package's exports as listed eagerly before netlist and analysis
+# were deferred; each must still come from `from tentbits import name`.
+EXPORTS = {
+    core: ("BitWidth", "MapConfig", "decode", "decode_exact", "decode_series", "encode",
+           "iterate", "output_array", "output_stream", "step", "tent_exact"),
+    netlist: ("StructuralError", "build_tent_netlist", "element_stats", "export_text",
+              "parse_text", "run"),
+    analysis: ("EstimationError", "autocorrelation", "cycle_census", "cycle_detect",
+               "cycle_table", "first_return_pairs", "histogram", "lyapunov_rosenstein",
+               "shannon_entropy"),
+}
+
+
+@pytest.mark.parametrize(
+    ("module", "name"), [(m, name) for m, names in EXPORTS.items() for name in names],
+    ids=lambda value: value if isinstance(value, str) else value.__name__,
+)
+def test_export_is_its_modules_object(module, name):
+    namespace = {}
+    exec(f"from tentbits import {name}", namespace)
+    assert namespace[name] is getattr(module, name)
+    assert name in dir(tentbits)
+
+
+def test_deferred_exports_load_their_module_on_first_access():
+    # in a fresh interpreter, where neither submodule is loaded yet
+    result = run_python("-c", """if True:
+        import sys, tentbits
+        assert "tentbits.analysis" not in sys.modules
+        table = tentbits.analysis.cycle_table
+        from tentbits import cycle_census
+        from tentbits.analysis import cycle_census as defined
+        assert cycle_census is defined
+        run = tentbits.netlist.run
+        from tentbits import netlist
+        assert run is netlist.run and table is tentbits.analysis.cycle_table
+        assert {"analysis", "netlist", "cycle_table", "run"} <= set(dir(tentbits))
+        """)
+    assert result.returncode == 0, result.stderr
+
+
+def test_unknown_package_attribute_names_itself():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        tentbits.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from tentbits import no_such_name", {})
 
 
 def test_usage_error_exits_2(capsys):
