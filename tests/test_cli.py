@@ -950,7 +950,7 @@ Sreenath & Narayanan (2018)     64       321   5.016
           "--format", "hex"], "8\nE\n3\n6\nD\n5\nB\n8\n"),
         (["compare"], COMPARE_TABLE),
     ],
-    ids=lambda value: value[0] if isinstance(value, list) else "",
+    ids=("cycles", "netlist", "compare"),
 )
 def test_deferred_import_commands_run_in_a_fresh_interpreter(argv, stdout):
     result = run_python("-m", "tentbits.cli", *argv)
