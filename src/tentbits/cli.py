@@ -13,6 +13,7 @@ selected analysis failed, 141 (128 + SIGPIPE) the reader closed the pipe.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -397,7 +398,10 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one in the process; callers must not mutate it or its defaults."""
     parser = argparse.ArgumentParser(
         prog="tentbits",
         description="Tent-map pseudo-random bit generator in polarized fixed point",
@@ -474,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cyc.set_defaults(func=cmd_cycles)
 
     p_cmp = sub.add_parser("compare", help="elements-per-bit table vs. literature")
-    p_cmp.add_argument("widths", nargs="*", type=int, default=[16, 32, 64])
+    p_cmp.add_argument("widths", nargs="*", type=int, default=(16, 32, 64))
     p_cmp.set_defaults(func=cmd_compare)
 
     return parser

@@ -16,6 +16,7 @@ are sequential in n but independent seeds can run concurrently.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from collections.abc import Collection
 from dataclasses import dataclass
@@ -92,8 +93,8 @@ def decode(w: int, width: BitWidth | int) -> float:
     return check_word(w, width) / width.max_word
 
 
-def decode_exact(w: int, width: BitWidth | int) -> Fraction:
-    """Exact rational value of a state word, lossless at every width.
+def decode_exact(w: int, width: BitWidth | int) -> numbers.Rational:
+    """Exact value of a state word as a Fraction, at every width.
     Kept as specification: the acceptance suite's exact reading."""
     from fractions import Fraction  # imported here: only the exact paths need it
 
@@ -101,7 +102,7 @@ def decode_exact(w: int, width: BitWidth | int) -> Fraction:
     return Fraction(check_word(w, width), width.max_word)
 
 
-def encode(x: float | Fraction, width: BitWidth | int) -> int:
+def encode(x: float | numbers.Rational, width: BitWidth | int) -> int:
     """Nearest state word for x in [0, 1], rounding halves up.
 
     Rounding happens in exact rational arithmetic, so encode undoes

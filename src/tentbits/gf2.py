@@ -8,10 +8,13 @@ register circuit, is read off its images of the k + 1 words 0 and
 bit-parallel simulator clocks them all in one pass.
 
 A linear map applies as one table lookup per byte of the word: table j
-holds M applied to every byte value shifted to bit 8j.  Each map owns
-one squaring sequence (see `_Squares`), which lives as long as it:
-the powers f^(2^i) for i = 0, 1, ..., each a '<u8' array of its k
-columns and then its constant, with its byte tables.  Each power is one
+holds M applied to every byte value shifted to bit 8j.  M is linear, so
+entry x is entry x >> 4 of the byte's high-nibble table xor entry x & 15
+of its low-nibble one: 4 doubling steps build the two 16-entry tables,
+and one broadcast XOR gives all 256 entries.  Each map owns one
+squaring sequence (see `_Squares`), which lives as long as it: the
+powers f^(2^i) for i = 0, 1, ..., each a '<u8' array of its k columns
+and then its constant, with its byte tables.  Each power is one
 `_linear` pass of the tables of the one before over that one's array.
 Each power and each set of tables is built once, when a call on the
 map first needs it, and every later call on that map reuses it.
@@ -215,15 +218,15 @@ def _bit_blocks(
 
 def _tables(columns: np.ndarray) -> np.ndarray:
     """Row j, entry x: M applied to x << 8j, from M's '<u8' columns; one
-    row per byte of a word."""
+    row per byte of a word, each the XOR of that byte's two nibble tables."""
     padded = np.zeros(-(-len(columns) // 8) * 8, _WORD)
     padded[: len(columns)] = columns
-    padded = padded.reshape(-1, 8)
-    tables = np.zeros((len(padded), 256), _WORD)
-    for i in range(8):
+    padded = padded.reshape(-1, 2, 4)  # byte, nibble (low first), column
+    halves = np.zeros((len(padded), 2, 16), _WORD)
+    for i in range(4):
         # the entries with top bit i are those below it, plus column i
-        tables[:, 1 << i : 2 << i] = tables[:, : 1 << i] ^ padded[:, i : i + 1]
-    return tables
+        halves[:, :, 1 << i : 2 << i] = halves[:, :, : 1 << i] ^ padded[:, :, i : i + 1]
+    return (halves[:, 1, :, None] ^ halves[:, 0, None, :]).reshape(-1, 256)
 
 
 def _linear(tables: np.ndarray, words: np.ndarray) -> np.ndarray:

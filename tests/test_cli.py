@@ -1036,3 +1036,53 @@ def test_usage_error_exits_2(capsys):
 
 def test_unknown_command_exits_2(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
+
+
+def test_main_reuses_one_parser(capsys):
+    parser = cli.build_parser()
+    builds = cli.build_parser.cache_info().misses
+    assert main(["compare", "8"]) == EXIT_OK
+    assert main(["gen", "--bits", "8"]) == EXIT_USAGE
+    assert main(["gen", "--bits", "4", "--seed", "0x8", "--n", "7"]) == EXIT_OK
+    assert cli.build_parser() is parser
+    assert cli.build_parser.cache_info().misses == builds
+
+
+def test_import_builds_no_parser():
+    result = run_python("-c", """if True:
+        from tentbits import cli
+        assert cli.build_parser.cache_info().currsize == 0
+        """)
+    assert result.returncode == 0, result.stderr
+
+
+# Each call's (exit code, stdout, stderr), all in one interpreter, so
+# every call after the first parses with the parser the first one built.
+IN_ONE_PROCESS = """if True:
+    import io, json, sys
+    from tentbits.cli import main
+    results = []
+    for argv in json.loads(sys.argv[1]):
+        sys.stdout, sys.stderr = (io.TextIOWrapper(io.BytesIO(), write_through=True)
+                                  for _ in range(2))
+        code = main(argv)
+        out, err = (stream.buffer.getvalue().decode() for stream in (sys.stdout, sys.stderr))
+        sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
+        results.append([code, out, err])
+    print(json.dumps(results))
+    """
+
+
+def test_shared_parser_answers_as_fresh_interpreters_do():
+    argvs = [
+        ["gen", "--bits", "8"],
+        ["--help"],
+        ["gen", "--bits", "4", "--seed", "0x8", "--n", "7", "--format", "hex"],
+        ["compare"],
+        ["compare"],
+    ]
+    shared = run_python("-c", IN_ONE_PROCESS, json.dumps(argvs))
+    assert shared.returncode == 0, shared.stderr
+    fresh = [run_python("-m", "tentbits.cli", *argv) for argv in argvs]
+    assert [code for code, _, _ in json.loads(shared.stdout)] == [EXIT_USAGE, 0, 0, 0, 0]
+    assert json.loads(shared.stdout) == [[r.returncode, r.stdout, r.stderr] for r in fresh]

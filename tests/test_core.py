@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import typing
 from fractions import Fraction
 
 import numpy as np
@@ -112,6 +113,12 @@ class TestDecode:
         # oracle: exact rational 192/255
         assert decode(192, 8) == pytest.approx(192 / 255, abs=0)
         assert decode_exact(192, 8) == Fraction(192, 255)
+
+    def test_exact_type_hints_resolve(self):
+        # the exact paths import fractions only when they run, so their
+        # annotations name the numbers ABC, which core holds at module level
+        assert isinstance(decode_exact(192, 8), typing.get_type_hints(decode_exact)["return"])
+        assert isinstance(Fraction(1, 3), typing.get_type_hints(encode)["x"])
 
     def test_monotone(self):
         values = [decode(w, 6) for w in range(64)]

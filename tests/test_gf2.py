@@ -176,6 +176,25 @@ class TestOrbit:
         assert words.tolist() == _sequential(m, 1, n)
 
 
+class TestTables:
+    @given(st.sampled_from((1, 7, 8, 9, 63, 64)), st.randoms())
+    @settings(max_examples=30, deadline=None)
+    def test_entries_are_their_definition(self, k, rnd):
+        # entry [j][x]: the XOR of column 8j + i over the set bits i of x,
+        # with the columns past k counting as zero
+        columns = [rnd.getrandbits(k) for _ in range(k)] + [0] * 7
+        tables = gf2._tables(np.array(columns[:k], "<u8"))
+        assert tables.dtype == np.dtype("<u8")
+        assert tables.shape == (-(-k // 8), 256)
+        for j, row in enumerate(tables.tolist()):
+            for x in range(256):
+                expected = 0
+                for i in range(8):
+                    if x >> i & 1:
+                        expected ^= columns[8 * j + i]
+                assert row[x] == expected, (j, x)
+
+
 def _count_calls(monkeypatch, *names):
     """Count the calls of the named gf2 functions until monkeypatch.undo()."""
     calls = dict.fromkeys(names, 0)
