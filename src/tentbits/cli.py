@@ -93,15 +93,25 @@ def _warn_degenerate(args) -> None:
         )
 
 
-def _run_map(args) -> tuple[int, gf2.AffineMap]:
-    """The run's first word and the GF(2) map that steps it: the loaded
-    word and the map of one run cycle of the circuit (netlist backend), or
-    the seed and core.step's map (word backend)."""
-    if args.backend == "netlist":
+@functools.lru_cache(maxsize=8)
+def _cycle_map(backend: str, config: core.MapConfig) -> gf2.AffineMap:
+    """The GF(2) map that steps a run of `config`: one run cycle of the
+    tent circuit (netlist backend) or core.step (word backend).  Either
+    steps the seed itself, as the circuit's load cycle latches the seed
+    unchanged (test_netlist.py pins that at every width).
+
+    Kept per (backend, config) for the life of the process, so in-process
+    callers of main build and probe each circuit once; at most 8 maps,
+    the least recently used dropped first.  Each keeps its squaring
+    sequence: at k = 64 about 16 KiB of byte tables per power, and at most
+    about 30 powers for any --n whose states fit in memory, about 4 MiB
+    for all 8.  core.affine_map and netlist.run_map stay uncached.
+    """
+    if backend == "netlist":
         from . import netlist as nl
 
-        return nl.run_map(nl.build_tent_netlist(args.config), args.seed)
-    return args.seed, core.affine_map(args.config)
+        return nl.run_map(nl.build_tent_netlist(config), 0)[1]
+    return core.affine_map(config)
 
 
 def _trajectory(args) -> Iterator[np.ndarray]:
@@ -110,21 +120,22 @@ def _trajectory(args) -> Iterator[np.ndarray]:
     state as uint8 for raw and bits, and the uint64 word for hex and csv.
     Each block goes on from the last state of the block before.
 
-    The netlist backend takes _run_map's map before the caller opens its
-    output, and streams blocks from it: the tap bits for raw and bits
-    (AffineMap.bit_blocks), the words for hex and csv
-    (AffineMap.word_blocks).  It holds two blocks, whatever n is.  The
-    word backend stays on core.iterate, one call per block, so core.step
-    runs n times, the count the benchmark's traced stream workload
-    predicts; raw and bits tap each block with core.output_array.
+    The netlist backend takes its configuration's kept map (_cycle_map)
+    before the caller opens its output, and streams blocks of its orbit
+    from the seed: the tap bits for raw and bits (AffineMap.bit_blocks),
+    the words for hex and csv (AffineMap.word_blocks).  It holds two
+    blocks, whatever n is.  The word backend stays on core.iterate, one
+    call per block, so core.step runs n times, the count the benchmark's
+    traced stream workload predicts; raw and bits tap each block with
+    core.output_array.
     """
     tapped = args.format in ("raw", "bits")
     if args.backend == "netlist":
-        first, cycle = _run_map(args)
+        cycle = _cycle_map(args.backend, args.config)
         if tapped:
             shift = core.tap_shift(args.width, args.tap)
-            return cycle.bit_blocks(first, args.n, shift, columns.BLOCK_ROWS)
-        return cycle.word_blocks(first, args.n, columns.BLOCK_ROWS)
+            return cycle.bit_blocks(args.seed, args.n, shift, columns.BLOCK_ROWS)
+        return cycle.word_blocks(args.seed, args.n, columns.BLOCK_ROWS)
     blocks = _word_blocks(args.config, args.seed, args.n)
     if tapped:
         return (core.output_array(words, args.width, args.tap) for words in blocks)
@@ -322,8 +333,8 @@ def cmd_analyze(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    first, f = _run_map(args)
-    words = f.orbit_array(first, args.n)[1:]  # n states; the seed is echoed below
+    f = _cycle_map(args.backend, args.config)
+    words = f.orbit_array(args.seed, args.n)[1:]  # n states; the seed is echoed below
     bits = core.output_array(words, args.width, args.tap)
     values = core.decode_series(words, args.width)
 

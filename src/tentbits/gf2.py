@@ -17,7 +17,8 @@ powers f^(2^i) for i = 0, 1, ..., each a '<u8' array of its k columns
 and then its constant, with its byte tables.  Each power is one
 `_linear` pass of the tables of the one before over that one's array.
 Each power and each set of tables is built once, when a call on the
-map first needs it, and every later call on that map reuses it.
+map first needs it, and every later call on that map reuses it; both
+are stored read-only, as every holder of the map shares them.
 
 * `orbit_array` computes a run of the map by recursive doubling (Kogge
   and Stone, IEEE Trans. Computers C-22, 1973): once the first 2^i
@@ -144,23 +145,24 @@ class _Squares:
 
     Power i is a '<u8' array of its k columns, then its constant.  Power
     i + 1 is power i after itself, one _linear pass of power i's tables;
-    each power and each set of tables is built once, on first use.
+    each power and each set of tables is built once, on first use, and
+    stored read-only, since every caller of the map shares them.
     """
 
     def __init__(self, f: AffineMap) -> None:
-        self._powers = {0: np.array([*f.columns, f.constant], _WORD)}
+        self._powers = {0: _read_only(np.array([*f.columns, f.constant], _WORD))}
         self._tables: dict[int, np.ndarray] = {}
 
     def power(self, i: int) -> np.ndarray:
-        """f^(2^i) as an array, which the caller must not write to."""
+        """f^(2^i) as a read-only array."""
         if i not in self._powers:
-            self._powers[i] = self.after(i - 1, self.power(i - 1))
+            self._powers[i] = _read_only(self.after(i - 1, self.power(i - 1)))
         return self._powers[i]
 
     def tables(self, i: int) -> np.ndarray:
-        """The byte tables of power i's linear part (see _linear)."""
+        """The byte tables of power i's linear part (see _linear), read-only."""
         if i not in self._tables:
-            self._tables[i] = _tables(self.power(i)[:-1])
+            self._tables[i] = _read_only(_tables(self.power(i)[:-1]))
         return self._tables[i]
 
     def after(self, i: int, array: np.ndarray) -> np.ndarray:
@@ -214,6 +216,11 @@ def _bit_blocks(
         bits &= 1
         bits ^= flip
         yield bits
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def _tables(columns: np.ndarray) -> np.ndarray:

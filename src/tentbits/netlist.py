@@ -28,7 +28,8 @@ select.  So a run cycle is exactly the affine map w -> M.w ^ c that
 column j of M is the probe from bit j less c.  `run_map` returns the
 loaded word and that map, and no further gate-level clock is needed:
 the map's orbit from the loaded word is the run (see gf2).  The CLI
-takes every circuit run from `run_map`: the whole orbit
+calls `run_map` once per configuration per process and keeps the map,
+and takes every circuit run from it: the whole orbit
 (`AffineMap.orbit_array`), or its words or one tap bit of them a block
 at a time (`AffineMap.word_blocks`, `bit_blocks`).  `run` is the
 one-call orbit as a uint64 array, kept for the API, the tests and the

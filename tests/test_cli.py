@@ -224,6 +224,8 @@ class TestNetlistCommand:
 
     @pytest.mark.parametrize("variant", ("perturbed", "unperturbed"))
     def test_simulate_builds_the_circuit_once(self, monkeypatch, capsys, variant):
+        # once per configuration in the process: the first call builds it,
+        # a second identical call reuses its map
         from tentbits import netlist as nl
 
         built = []
@@ -234,11 +236,15 @@ class TestNetlistCommand:
             return built[-1]
 
         monkeypatch.setattr(nl, "build_tent_netlist", counting_build)
+        cli._cycle_map.cache_clear()
         argv = ["--bits", "8", "--seed", "0x5A", "--n", "20", "--variant", variant]
         assert main(["netlist", *argv, "--simulate", "--format", "hex"]) == EXIT_OK
         assert len(built) == 1
         assert built[0] == real_build(MapConfig(8, perturbed=variant == "perturbed"))
         gate = capsys.readouterr().out
+        assert main(["netlist", *argv, "--simulate", "--format", "hex"]) == EXIT_OK
+        assert len(built) == 1
+        assert capsys.readouterr().out == gate
         assert main(["gen", *argv, "--format", "hex"]) == EXIT_OK
         assert capsys.readouterr().out == gate
 
@@ -252,8 +258,9 @@ class TestNetlistCommand:
         ids=("simulate-raw", "simulate-hex", "analyze"),
     )
     def test_circuit_runs_clock_the_gates_twice(self, tmp_path, monkeypatch, capsys, argv):
-        # one load pass and one probe pass, then the run cycle's map; the
-        # word model is never stepped
+        # one load pass and one probe pass on the configuration's first
+        # run in the process, none on the next, which reuses the run
+        # cycle's map; the word model is never stepped
         lanes, steps = [], []
         real_lanes, real_step = netlist._clock_lanes, core.step
 
@@ -267,9 +274,12 @@ class TestNetlistCommand:
 
         monkeypatch.setattr(netlist, "_clock_lanes", counted_lanes)
         monkeypatch.setattr(core, "step", counted_step)
+        cli._cycle_map.cache_clear()
         out = ["--out-dir" if argv[0] == "analyze" else "--out", str(tmp_path / "out")]
         argv = [*argv, "--bits", "64", "--seed", "0x123456789ABCDEF",
                 "--n", str(2 * columns.BLOCK_ROWS + 5), *out]
+        assert main(argv) == EXIT_OK
+        assert len(lanes) == 2
         assert main(argv) == EXIT_OK
         assert len(lanes) == 2
         assert steps == []
@@ -682,6 +692,7 @@ def test_n_past_any_array_is_one_line_error(tmp_path, capsys, monkeypatch, comma
     monkeypatch.setattr(core, "iterate", no_states)  # gen
     monkeypatch.setattr(core, "affine_map", no_states)  # analyze
     monkeypatch.setattr(netlist, "run_map", no_states)  # either, on the netlist backend
+    cli._cycle_map.cache_clear()  # so a kept map cannot slip past the two above
     for n in (2**63, 10**20):
         argv = [*command, "--bits", "16", "--seed", "0x5A3C", "--n", str(n)]
         argv += ["--out-dir" if command == ["analyze"] else "--out", str(tmp_path / "out")]
@@ -1054,6 +1065,60 @@ def test_import_builds_no_parser():
         assert cli.build_parser.cache_info().currsize == 0
         """)
     assert result.returncode == 0, result.stderr
+
+
+def test_import_keeps_no_map():
+    result = run_python("-c", """if True:
+        from tentbits import cli
+        assert cli._cycle_map.cache_info().currsize == 0
+        """)
+    assert result.returncode == 0, result.stderr
+
+
+def test_kept_maps_answer_as_fresh_ones(tmp_path, capsys):
+    # configurations A, B, A in one process, both variants and both
+    # backends: each run answers as it does on a cleared memo, and the
+    # circuit's listings equal gen's.  A and B differ in the variant only,
+    # so a map kept under the width alone would answer B with A's
+    def run(argv, name):
+        out = tmp_path / name
+        flag = "--out-dir" if argv[0] == "analyze" else "--out"
+        code = main([*argv, flag, str(out)])
+        captured = capsys.readouterr()
+        written = out / "report.json" if argv[0] == "analyze" else out
+        return code, captured.out.replace(str(out), "OUT"), captured.err, written.read_bytes()
+
+    runs = []
+    for bits, variant, seed in (("64", "perturbed", "0x123456789ABCDEF"),
+                                ("64", "unperturbed", "0xA5C"),
+                                ("64", "perturbed", "0xFEDCBA987654321")):
+        shared = ["--bits", bits, "--seed", seed, "--n", "20000", "--variant", variant]
+        for fmt in ("raw", "hex"):
+            runs.append((["netlist", "--simulate", *shared, "--format", fmt],
+                         ["gen", *shared, "--format", fmt]))
+        for backend in ("word", "netlist"):
+            runs.append((["analyze", *shared, "--tests", "entropy", "--backend", backend], None))
+    cli._cycle_map.cache_clear()
+    kept = [run(argv, f"kept{i}") for i, (argv, _) in enumerate(runs)]
+    # one map per (backend, configuration); every other run reused one
+    info = cli._cycle_map.cache_info()
+    assert (info.hits, info.misses) == (8, 4)
+    for i, (argv, gen_argv) in enumerate(runs):
+        assert kept[i][0] == EXIT_OK, kept[i]
+        cli._cycle_map.cache_clear()
+        assert run(argv, f"fresh{i}") == kept[i], argv
+        if gen_argv:
+            assert run(gen_argv, f"gen{i}") == kept[i], gen_argv
+
+
+def test_kept_maps_stay_within_the_bound(tmp_path, capsys):
+    cli._cycle_map.cache_clear()
+    bound = cli._cycle_map.cache_parameters()["maxsize"]
+    for bits in range(2, bound + 6):
+        argv = ["netlist", "--simulate", "--bits", str(bits), "--seed", "0x1", "--n", "10",
+                "--format", "hex", "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_OK
+        assert cli._cycle_map.cache_info().currsize == min(bits - 1, bound)
 
 
 # Each call's (exit code, stdout, stderr), all in one interpreter, so

@@ -390,3 +390,20 @@ class TestOneSequencePerMap:
         netlist = nl.build_tent_netlist(config)
         assert nl.run_map(netlist, 5) == nl.run_map(netlist, 5)
         assert nl.run_map(netlist, 5)[1] is not nl.run_map(netlist, 5)[1]
+
+    @pytest.mark.parametrize("k", (1, 8, 33, 64))
+    def test_sequence_is_read_only(self, k):
+        # a map may be shared, so no caller can write into its powers or
+        # tables; every call still works on it, the stored arrays included
+        m = _random_map(k, random.Random(k))
+        for array in (m._squares.power(0), m._squares.tables(0),
+                      m._squares.power(5), m._squares.tables(5)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        w = 0x5A3C5A3C5A3C5A3C & ((1 << k) - 1)
+        words = _sequential(m, w, 1000)
+        assert m.orbit_array(w, 1000).tolist() == words
+        assert _joined(m.word_blocks(w, 1000, 64)) == words
+        assert _joined(m.bit_blocks(w, 1000, k - 1, 64)) == [x >> k - 1 for x in words]
+        for n in (64, 1000):  # n = 2^6 is power 6 itself
+            assert _apply(m.power(n), w) == words[n]
